@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from .complexes import (
     bm_chain_complex,
@@ -111,9 +112,11 @@ def _det_ring(columns, ring: RingTag):
     if any(len(c) != n for c in columns):
         raise ValueError("determinant of a non-square system")
     if ring.kind == "Q":
-        from .fans import _det_fraction
-
-        return _det_fraction([[Fraction(columns[j][i]) for j in range(n)] for i in range(n)])
+        # Clear each column's denominators: det(M) = det(M D) / det(D).
+        columns = [[Fraction(x) for x in c] for c in columns]
+        dens = [lcm(*(x.denominator for x in c)) for c in columns]
+        m = IntMatrix.from_cols([[int(x * d) for x in c] for c, d in zip(columns, dens)], rows=n)
+        return Fraction(det_int(m), prod(dens))
     m = IntMatrix.from_cols([[int(x) for x in c] for c in columns], rows=n)
     d = det_int(m)
     return d % ring.p if ring.kind == "Fp" else d

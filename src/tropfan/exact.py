@@ -5,6 +5,10 @@ saturated kernel lattices, finitely generated abelian group presentations of
 subquotients, and isomorphism testing for maps between presented modules.
 Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
+
+Ranks and solves over Z use the fraction-free elimination of `intmat`.
+Elimination over Q and F_p (`_rref`) is row-sparse: each pivot row updates
+the other rows in its nonzero columns only, with the reduction mod p inline.
 """
 
 from __future__ import annotations
@@ -12,23 +16,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import IntMatrix, det_int, solve_int
+from .intmat import IntMatrix, _gauss_jordan_ff, det_int, solve_int
 
 
 # ---------------------------------------------------------------------------
 # Rings
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test for p < MAX_MODULUS."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -43,7 +64,9 @@ class RingTag:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p):
+            if isinstance(self.p, int) and self.p >= MAX_MODULUS:
+                raise ValueError(f"modulus too large: {self.p} (the limit is {MAX_MODULUS - 1})")
+            if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise ValueError(f"modulus not prime: {self.p}")
         elif self.p is not None:
             raise ValueError("modulus only allowed for Fp")
@@ -334,23 +357,7 @@ def _is_column_echelon(m: IntMatrix) -> bool:
 
 def _pivots_over_q(m: IntMatrix):
     """Pivot column indices of m over Q (its rank is their count)."""
-    a = [[Fraction(x) for x in row] for row in m.data]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        p = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+    return _gauss_jordan_ff([row[:] for row in m.data], m.cols)
 
 
 def rank_over_q(m: IntMatrix) -> int:
@@ -361,72 +368,72 @@ def rank_over_q(m: IntMatrix) -> int:
 # Field elimination (Q and F_p share one code path)
 
 
-class _FieldOps:
-    def __init__(self, ring: RingTag):
-        self.ring = ring
-
-    def of_int(self, x):
-        if self.ring.kind == "Q":
-            return Fraction(x)
-        return x % self.ring.p
-
-    def inv(self, x):
-        if self.ring.kind == "Q":
-            return 1 / x
-        return pow(x, self.ring.p - 2, self.ring.p)
-
-    def mul(self, x, y):
-        z = x * y
-        return z if self.ring.kind == "Q" else z % self.ring.p
-
-    def sub(self, x, y):
-        z = x - y
-        return z if self.ring.kind == "Q" else z % self.ring.p
-
-
 def field_matrix(m: IntMatrix, ring: RingTag):
-    ops = _FieldOps(ring)
-    return [[ops.of_int(x) for x in row] for row in m.data]
+    """The rows of m as field elements: Fractions over Q, residues mod p."""
+    if ring.kind == "Q":
+        return [[Fraction(x) for x in row] for row in m.data]
+    p = ring.p
+    return [[x % p for x in row] for row in m.data]
 
 
-def _rref(a, rows, cols, ops):
-    """In-place reduced row echelon form; returns pivot column list."""
+def _rref(a, cols, p=None):
+    """In-place reduced row echelon form of the first `cols` columns of the
+    rows `a`, over F_p (entries in [0, p)) or over Q (Fraction entries) when
+    p is None. Row operations act on whole rows but only touch the nonzero
+    columns of the pivot row. Returns the pivot column list."""
     pivots = []
+    n = len(a)
     r = 0
     for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if p is None:
+        i0 = next((i for i in range(r, n) if a[i][c]), None)
+        if i0 is None:
             continue
-        a[r], a[p] = a[p], a[r]
-        inv = ops.inv(a[r][c])
-        a[r] = [ops.mul(inv, x) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i], a[r])]
+        prow = a[i0]
+        a[i0] = a[r]
+        x = prow[c]
+        if x != 1:
+            if p is None:
+                inv = 1 / Fraction(x)  # callers may pass ints; int / int is a float
+                prow = [y * inv for y in prow]
+            else:
+                inv = pow(x, -1, p)
+                prow = [y * inv % p for y in prow]
+        a[r] = prow
+        support = [j for j, y in enumerate(prow) if y]
+        for i in range(n):
+            row = a[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if p is None:
+                for j in support:
+                    row[j] -= f * prow[j]
+            else:
+                for j in support:
+                    row[j] = (row[j] - f * prow[j]) % p
         pivots.append(c)
         r += 1
     return pivots
 
 
 def rank_field(m: IntMatrix, ring: RingTag) -> int:
-    ops = _FieldOps(ring)
-    a = field_matrix(m, ring)
-    return len(_rref(a, m.rows, m.cols, ops))
+    return len(_rref(field_matrix(m, ring), m.cols, ring.p))
 
 
 def kernel_field(m: IntMatrix, ring: RingTag):
     """Kernel basis over the field, as a list of coordinate columns."""
-    ops = _FieldOps(ring)
     a = field_matrix(m, ring)
-    pivots = _rref(a, m.rows, m.cols, ops)
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivots = _rref(a, m.cols, ring.p)
+    zero, one = (Fraction(0), Fraction(1)) if ring.kind == "Q" else (0, 1)
+    pivot_set = set(pivots)
     basis = []
-    for c in free:
-        vec = [ops.of_int(0)] * m.cols
-        vec[c] = ops.of_int(1)
+    for c in range(m.cols):
+        if c in pivot_set:
+            continue
+        vec = [zero] * m.cols
+        vec[c] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = ops.sub(ops.of_int(0), a[r][c])
+            vec[pc] = -a[r][c] if ring.kind == "Q" else -a[r][c] % ring.p
         basis.append(vec)
     return basis
 
@@ -436,11 +443,10 @@ def solve_field(a_cols, b_cols, ring: RingTag):
 
     Raises ValueError when inconsistent or when A has dependent columns.
     """
-    ops = _FieldOps(ring)
     n = len(a_cols[0]) if a_cols else (len(b_cols[0]) if b_cols else 0)
     ca, cb = len(a_cols), len(b_cols)
     aug = [[a_cols[j][i] for j in range(ca)] + [b_cols[j][i] for j in range(cb)] for i in range(n)]
-    pivots = _rref(aug, n, ca + cb, ops)
+    pivots = _rref(aug, ca + cb, ring.p)
     if any(c >= ca for c in pivots):
         raise ValueError("inconsistent system over field")
     if len(pivots) != ca:
@@ -520,14 +526,10 @@ def homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: Ring
             return GroupPresentation(0), []
         if boundary_in.cols == 0:
             return GroupPresentation(len(kb)), kb
-        ops = _FieldOps(ring)
-        img_cols = [[ops.of_int(boundary_in.data[i][j]) for i in range(n)]
-                    for j in range(boundary_in.cols)]
+        img_cols = field_matrix(boundary_in.transpose(), ring)
         x = solve_field(kb, img_cols, ring)  # columns in kernel coordinates
         k = len(kb)
-        a = [[x[j][i] for j in range(len(x))] for i in range(k)]
-        col_ech = [[a[i][j] for i in range(k)] for j in range(len(x))]
-        pivot_rows = _rref(col_ech, len(x), k, ops) if x else []
+        pivot_rows = _rref(x, k, ring.p)
         reps = []
         for i in range(k):
             if i not in pivot_rows:

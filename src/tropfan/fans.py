@@ -12,34 +12,22 @@ boundary operator vanishes, and construction verifies that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .intmat import IntMatrix, solve_exact
+from .intmat import IntMatrix, _solve_ff, det_int
 from .exact import RingTag, hnf_basis, rank_over_q, saturate
 
 
-def _det_fraction(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+def _coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
+    """Sign of det(X) for the square solution X of basis * X = mat.
+
+    Row k of X is an integer row over a positive pivot, so X and the matrix
+    of numerators have determinants of the same sign.
+    """
+    rows = [nums for _, nums in _solve_ff(basis, mat)]
+    det = det_int(IntMatrix(len(rows), mat.cols, rows))
+    return (det > 0) - (det < 0)
 
 
 def _is_primitive(vec):
@@ -251,8 +239,7 @@ def _orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
         if len(chosen) == k:
             break
     sub = ray_matrix.submatrix(range(ray_matrix.rows), chosen)
-    coords = solve_exact(basis, sub)
-    if _det_fraction(coords) < 0:
+    if _coords_det_sign(basis, sub) < 0:
         flipped = basis.copy()
         for i in range(basis.rows):
             flipped.data[i][k - 1] = -flipped.data[i][k - 1]
@@ -268,11 +255,10 @@ def _incidence_sign(fan_rays, tau: Cone, sigma: Cone):
     u = [sum(fan_rays[r][i] for r in extra) for i in range(n)]
     cols = [u] + tau.lattice_basis.columns()
     mat = IntMatrix.from_cols(cols, rows=n)
-    coords = solve_exact(sigma.lattice_basis, mat)
-    det = _det_fraction(coords)
-    if det == 0:
+    sign = _coords_det_sign(sigma.lattice_basis, mat)
+    if sign == 0:
         raise ValueError("degenerate incidence pair (invalid fan data)")
-    return 1 if det > 0 else -1
+    return sign
 
 
 def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:

@@ -3,11 +3,17 @@
 Entries are Python ints (arbitrary precision), stored row-major as a list of
 lists. This is the carrier type for every boundary, inclusion and cap matrix
 in the package; nothing here is numeric-approximate.
+
+Linear systems over Z and Q are solved by one fraction-free Gauss-Jordan
+elimination on Python ints (`_gauss_jordan_ff`): a rational solution is read
+off as integer numerators over a pivot, so no Fraction arithmetic runs inside
+the elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class IntMatrix:
@@ -174,6 +180,74 @@ def det_int(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _gauss_jordan_ff(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of the first `ncols` columns.
+
+    `rows` is a list of int lists, reduced in place; row operations act on
+    whole rows, so trailing columns (a right-hand side) ride along. Pivots
+    are chosen column by column, each from the first remaining row with a
+    nonzero entry, exactly as Gaussian elimination over Q would choose them.
+    On return rows[k] is a positive integer multiple of the k-th row of the
+    reduced row echelon form over Q, so its pivot entry is positive and the
+    other pivot columns are zero. Only the nonzero columns of the pivot row
+    are updated, and an updated row that had to be scaled is divided by its
+    content, which keeps the entries small. Returns the pivot columns.
+    """
+    pivots = []
+    n = len(rows)
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        prow = rows[p]
+        rows[p] = rows[r]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        rows[r] = prow
+        piv = prow[c]
+        support = [j for j, x in enumerate(prow) if x]
+        for i in range(n):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(piv, f)
+            scale, f = piv // g, f // g
+            if scale != 1:
+                row = [scale * x for x in row]
+            for j in support:
+                row[j] -= f * prow[j]
+            if scale != 1:
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _solve_ff(a: IntMatrix, b: IntMatrix):
+    """Solve a*X = b for a with full column rank, without fractions.
+
+    Returns one (pivot, numerators) pair per row of X: that row is the
+    numerators divided by the pivot, which is positive. Raises ValueError
+    when the shapes differ, when a has dependent columns or when the system
+    is inconsistent, checked in that order.
+    """
+    rows, cols = a.rows, a.cols
+    if b.rows != rows:
+        raise ValueError("shape mismatch in solve")
+    aug = [ra + rb for ra, rb in zip(a.data, b.data)]
+    if len(_gauss_jordan_ff(aug, cols)) != cols:
+        raise ValueError("matrix does not have full column rank")
+    # Consistency: rows beyond the pivot rows must be zero on the rhs too.
+    if any(any(row[cols:]) for row in aug[cols:]):
+        raise ValueError("inconsistent system")
+    return [(row[k], row[cols:]) for k, row in enumerate(aug[:cols])]
+
+
 def solve_exact(a: IntMatrix, b: IntMatrix):
     """Solve a*X = b over Q for a with full column rank.
 
@@ -181,44 +255,17 @@ def solve_exact(a: IntMatrix, b: IntMatrix):
     raises ValueError when the system is inconsistent or a has dependent
     columns. a may be rectangular (rows >= cols).
     """
-    rows, cols = a.rows, a.cols
-    if b.rows != rows:
-        raise ValueError("shape mismatch in solve")
-    # Gaussian elimination on the augmented system, over Fractions.
-    aug = [[Fraction(a.data[i][j]) for j in range(cols)] + [Fraction(x) for x in b.data[i]]
-           for i in range(rows)]
-    width = cols + b.cols
-    piv_rows = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if p is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(r)
-        r += 1
-    # Consistency: rows beyond the pivot rows must be zero on the rhs too.
-    for i in range(r, rows):
-        if any(aug[i][j] != 0 for j in range(cols, width)):
-            raise ValueError("inconsistent system")
-    return [[aug[i][cols + j] for j in range(b.cols)] for i in range(cols)]
+    return [[Fraction(x, piv) for x in nums] for piv, nums in _solve_ff(a, b)]
 
 
 def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Solve a*X = b insisting on an integral solution."""
-    sol = solve_exact(a, b)
     out = []
-    for row in sol:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
+    for piv, nums in _solve_ff(a, b):
+        if piv != 1:
+            quotients = [divmod(x, piv) for x in nums]
+            if any(rem for _, rem in quotients):
                 raise ValueError("solution is not integral")
-            int_row.append(int(x))
-        out.append(int_row)
+            nums = [q for q, _ in quotients]
+        out.append(nums)
     return IntMatrix(a.cols, b.cols, out)

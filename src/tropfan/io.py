@@ -42,9 +42,18 @@ def _decode(text: str) -> dict:
     return doc
 
 
+def _is_int(v) -> bool:
+    """JSON integers only: `true` and `false` decode to bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_index_list(v, bound) -> bool:
+    return isinstance(v, list) and all(_is_int(i) and 0 <= i < bound for i in v)
+
+
 def _int_field(doc, key):
     v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise InputError(f"field {key!r} must be an integer")
     return v
 
@@ -63,18 +72,19 @@ def parse_fan(path_or_text) -> WeightedFan:
     if not isinstance(rays, list) or not rays:
         raise InputError("field 'rays' must be a nonempty list of integer vectors")
     for r in rays:
-        if not isinstance(r, list) or len(r) != ambient or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in r
-        ):
+        if not isinstance(r, list) or len(r) != ambient or not all(_is_int(x) for x in r):
             raise InputError(f"ray {r!r} is not an integer vector of length {ambient}")
     cones = doc.get("maximal_cones")
     if not isinstance(cones, list) or not cones:
         raise InputError("field 'maximal_cones' must be a nonempty list of index lists")
     for c in cones:
-        if not isinstance(c, list) or not all(isinstance(i, int) and 0 <= i < len(rays) for i in c):
-            raise InputError(f"maximal cone {c!r} has out-of-range ray indices")
+        if not _is_index_list(c, len(rays)):
+            raise InputError(f"maximal cone {c!r} must list ray indices in range")
+    ring_text = doc.get("ring", "Z")
+    if not isinstance(ring_text, str):
+        raise InputError("field 'ring' must be a string (Z, Q or Fp:<p>)")
     try:
-        ring = RingTag.parse(doc.get("ring", "Z"))
+        ring = RingTag.parse(ring_text)
     except ValueError as e:
         raise InputError(f"field 'ring': {e}") from None
     weights = doc.get("weights")
@@ -85,10 +95,8 @@ def parse_fan(path_or_text) -> WeightedFan:
         if not isinstance(explicit, list):
             raise InputError("field 'faces' must be a list of ray index lists")
         for f in explicit:
-            if not isinstance(f, list) or not all(
-                isinstance(i, int) and 0 <= i < len(rays) for i in f
-            ):
-                raise InputError(f"face {f!r} has out-of-range ray indices")
+            if not _is_index_list(f, len(rays)):
+                raise InputError(f"face {f!r} must list ray indices in range")
     try:
         fan = build_fan(ambient, rays, cones, explicit_faces=explicit)
     except ValueError as e:
@@ -97,6 +105,8 @@ def parse_fan(path_or_text) -> WeightedFan:
     weight_map = {}
     for c, w in zip(cones, weights):
         fid = fan.face_by_rays(c)
+        if isinstance(w, bool):
+            raise InputError(f"weight {w!r} is not a number")
         if isinstance(w, str) and ring.kind != "Q":
             raise InputError("rational weight strings require ring Q")
         try:
@@ -134,10 +144,8 @@ def parse_matroid(path_or_text) -> Matroid:
     if not isinstance(bases, list) or not bases:
         raise InputError("field 'bases' must be a nonempty list of index lists")
     for b in bases:
-        if not isinstance(b, list) or not all(
-            isinstance(i, int) and 0 <= i < ground for i in b
-        ):
-            raise InputError(f"basis {b!r} has out-of-range elements")
+        if not _is_index_list(b, ground):
+            raise InputError(f"basis {b!r} must list ground set elements in range")
     try:
         return Matroid(ground, bases)
     except ValueError as e:

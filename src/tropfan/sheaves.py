@@ -9,6 +9,8 @@ lexicographic subset order throughout, which fixes all contraction signs.
 
 from __future__ import annotations
 
+import copy
+import weakref
 from itertools import combinations
 
 from .exact import hnf_basis
@@ -42,11 +44,17 @@ class ModuleAssignment:
     """
 
     def __init__(self, fan, p, variance, basis):
-        self.fan = fan
+        # The fan caches its modules, so a strong reference back would make
+        # a cycle that keeps every fan alive until the cyclic collector runs.
+        self._fan = weakref.ref(fan)
         self.p = p
         self.variance = variance  # "cosheaf" | "sheaf"
         self.basis = basis  # face id -> IntMatrix (columns in wedge coords)
         self._structure = {}
+
+    @property
+    def fan(self):
+        return self._fan()
 
     def rank(self, fid):
         return self.basis[fid].cols
@@ -68,8 +76,8 @@ class ModuleAssignment:
         return self.inclusion(sigma, tau).transpose()
 
     def dual(self) -> "ModuleAssignment":
-        other = ModuleAssignment(self.fan, self.p, "sheaf", self.basis)
-        other._structure = self._structure
+        other = copy.copy(self)  # shares the bases and the structure matrices
+        other.variance = "sheaf"
         return other
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from tropfan.exact import RingTag
 from tropfan.fans import WeightedFan, build_fan
+from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
 Z = RingTag.Z()
@@ -77,6 +79,19 @@ def random_balanced_curve(rng: random.Random):
         weights.append(g)
         fan = build_fan(rank, rays, [[i] for i in range(len(rays))])
         return fan, weights
+
+
+def graphic_k4():
+    """M(K4): the spanning trees of the complete graph on four vertices."""
+    edges = list(combinations(range(4), 2))
+    bases = []
+    for tree in combinations(range(len(edges)), 3):
+        covered = {v for e in tree for v in edges[e]}
+        # Three edges form a tree iff they touch all four vertices; the only
+        # three-edge cycles are triangles, which touch three.
+        if len(covered) == 4:
+            bases.append(list(tree))
+    return Matroid(len(edges), bases)
 
 
 BASE_MATROIDS = [
@@ -174,3 +189,134 @@ def contraction_oracle(x, y, p1, p2, m):
 def _sort_sign(seq):
     inv = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
     return (-1) ** inv
+
+
+# ---------------------------------------------------------------------------
+# The Fraction elimination that the fraction-free and row-sparse kernels
+# replaced, kept verbatim as oracles for them.
+
+
+def oracle_solve_exact(a: IntMatrix, b: IntMatrix):
+    """Solve a*X = b over Q for a with full column rank.
+
+    Returns the unique rational solution as a list-of-lists of Fractions, or
+    raises ValueError when the system is inconsistent or a has dependent
+    columns. a may be rectangular (rows >= cols).
+    """
+    rows, cols = a.rows, a.cols
+    if b.rows != rows:
+        raise ValueError("shape mismatch in solve")
+    # Gaussian elimination on the augmented system, over Fractions.
+    aug = [[Fraction(a.data[i][j]) for j in range(cols)] + [Fraction(x) for x in b.data[i]]
+           for i in range(rows)]
+    width = cols + b.cols
+    piv_rows = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if p is None:
+            raise ValueError("matrix does not have full column rank")
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_rows.append(r)
+        r += 1
+    # Consistency: rows beyond the pivot rows must be zero on the rhs too.
+    for i in range(r, rows):
+        if any(aug[i][j] != 0 for j in range(cols, width)):
+            raise ValueError("inconsistent system")
+    return [[aug[i][cols + j] for j in range(b.cols)] for i in range(cols)]
+
+
+def oracle_solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Solve a*X = b insisting on an integral solution."""
+    sol = oracle_solve_exact(a, b)
+    out = []
+    for row in sol:
+        int_row = []
+        for x in row:
+            if x.denominator != 1:
+                raise ValueError("solution is not integral")
+            int_row.append(int(x))
+        out.append(int_row)
+    return IntMatrix(a.cols, b.cols, out)
+
+
+class OracleFieldOps:
+    def __init__(self, ring: RingTag):
+        self.ring = ring
+
+    def of_int(self, x):
+        if self.ring.kind == "Q":
+            return Fraction(x)
+        return x % self.ring.p
+
+    def inv(self, x):
+        if self.ring.kind == "Q":
+            return 1 / x
+        return pow(x, self.ring.p - 2, self.ring.p)
+
+    def mul(self, x, y):
+        z = x * y
+        return z if self.ring.kind == "Q" else z % self.ring.p
+
+    def sub(self, x, y):
+        z = x - y
+        return z if self.ring.kind == "Q" else z % self.ring.p
+
+
+def oracle_rref(a, rows, cols, ops):
+    """In-place reduced row echelon form; returns pivot column list."""
+    pivots = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = ops.inv(a[r][c])
+        a[r] = [ops.mul(inv, x) for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def oracle_rref_p(a, cols, p=None):
+    """oracle_rref behind the signature of tropfan.exact._rref."""
+    ring = Q if p is None else RingTag.Fp(p)
+    return oracle_rref(a, len(a), cols, OracleFieldOps(ring))
+
+
+def oracle_field_matrix(m: IntMatrix, ring: RingTag):
+    ops = OracleFieldOps(ring)
+    return [[ops.of_int(x) for x in row] for row in m.data]
+
+
+def oracle_rank_field(m: IntMatrix, ring: RingTag) -> int:
+    ops = OracleFieldOps(ring)
+    a = oracle_field_matrix(m, ring)
+    return len(oracle_rref(a, m.rows, m.cols, ops))
+
+
+def oracle_kernel_field(m: IntMatrix, ring: RingTag):
+    """Kernel basis over the field, as a list of coordinate columns."""
+    ops = OracleFieldOps(ring)
+    a = oracle_field_matrix(m, ring)
+    pivots = oracle_rref(a, m.rows, m.cols, ops)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for c in free:
+        vec = [ops.of_int(0)] * m.cols
+        vec[c] = ops.of_int(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = ops.sub(ops.of_int(0), a[r][c])
+        basis.append(vec)
+    return basis

@@ -1,0 +1,140 @@
+"""The fraction-free and row-sparse elimination kernels against oracles.
+
+The oracles in helpers.py are the Fraction Gauss-Jordan elimination that the
+kernels replaced; sympy gives an independent cross-check over Q. Solutions
+of full-column-rank systems and reduced row echelon forms are unique, so the
+kernels must agree with the oracles exactly, errors included.
+"""
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tropfan.exact as exact
+from tropfan import fixtures
+from tropfan.complexes import bm_chain_complex
+from tropfan.exact import homology_of_pair, kernel_field, rank_field, rank_over_q
+from tropfan.intmat import IntMatrix, solve_exact, solve_int
+from tropfan.io import parse_fan
+from tropfan.matroids import Matroid, bergman_fan
+
+from helpers import (
+    F3,
+    Q,
+    Z,
+    graphic_k4,
+    oracle_kernel_field,
+    oracle_rank_field,
+    oracle_rref_p,
+    oracle_solve_exact,
+    oracle_solve_int,
+)
+
+F7 = exact.RingTag.Fp(7)
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def int_matrices(draw, rows=None, cols=None, entries=st.integers(-4, 4)):
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix(rows, cols, data)
+
+
+@st.composite
+def systems(draw):
+    """a*X = b with a mix of consistent, inconsistent, rank-deficient and
+    non-integral systems: b is a*X plus an optional perturbation, all over
+    a scale that may make the solution fractional."""
+    cols = draw(st.integers(0, 4))
+    a = draw(int_matrices(rows=draw(st.integers(max(cols - 1, 0), 6)), cols=cols))
+    x = draw(int_matrices(rows=a.cols, cols=draw(st.integers(1, 3))))
+    b = a * x
+    if draw(st.booleans()):
+        b = b + draw(int_matrices(rows=b.rows, cols=b.cols, entries=st.integers(-1, 1)))
+    if a.cols and draw(st.booleans()):
+        a = a * draw(st.integers(2, 3))
+    return a, b
+
+
+def _outcome(solve, a, b):
+    try:
+        return solve(a, b)
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+@PROPERTY
+@given(systems())
+def test_solve_exact_matches_oracle(system):
+    a, b = system
+    assert _outcome(solve_exact, a, b) == _outcome(oracle_solve_exact, a, b)
+
+
+@PROPERTY
+@given(systems())
+def test_solve_int_matches_oracle(system):
+    a, b = system
+    assert _outcome(solve_int, a, b) == _outcome(oracle_solve_int, a, b)
+
+
+@PROPERTY
+@given(int_matrices(), st.sampled_from([F3, F7, Q]))
+def test_field_kernel_and_rank_match_oracle(m, ring):
+    assert kernel_field(m, ring) == oracle_kernel_field(m, ring)
+    assert rank_field(m, ring) == oracle_rank_field(m, ring)
+
+
+@PROPERTY
+@given(int_matrices())
+def test_rank_over_q_matches_oracle_and_sympy(m):
+    assert rank_over_q(m) == oracle_rank_field(m, Q)
+    assert rank_over_q(m) == sympy.Matrix(m.rows, m.cols, [x for row in m.data for x in row]).rank()
+
+
+@PROPERTY
+@given(systems())
+def test_solve_exact_matches_sympy(system):
+    a, b = system
+    if not a.cols or not b.cols:
+        return
+    outcome = _outcome(solve_exact, a, b)
+    sa, sb = sympy.Matrix(a.data), sympy.Matrix(b.data)
+    if isinstance(outcome, tuple):
+        rank_deficient = sa.rank() < a.cols
+        assert outcome[1] == ("matrix does not have full column rank" if rank_deficient else "inconsistent system")
+        if not rank_deficient:
+            with pytest.raises(ValueError):
+                sa.gauss_jordan_solve(sb)
+        return
+    sol, params = sa.gauss_jordan_solve(sb)
+    assert params.shape[0] == 0
+    assert outcome == [[sympy.Rational(x) for x in sol.row(i)] for i in range(a.cols)]
+
+
+def _pairs(wf, ring):
+    fan = wf.fan
+    for p in range(fan.dim + 1):
+        cx = bm_chain_complex(fan, p, ring)
+        for q in cx.degrees:
+            yield cx.boundary_in(q), cx.boundary_out(q)
+
+
+FANS = {name: lambda name=name: parse_fan(fixtures.text(name))
+        for name in ["cross", "curve_r3", "surface_r4", "surface_r3", "u34_bergman"]}
+FANS["u35"] = lambda: bergman_fan(Matroid.uniform(3, 5))
+FANS["mk4"] = lambda: bergman_fan(graphic_k4())
+
+
+@pytest.mark.parametrize("ring", [Z, F3], ids=str)
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_homology_of_pair_matches_oracle_elimination(name, ring, monkeypatch):
+    pairs = list(_pairs(FANS[name](), ring))
+    fast = [homology_of_pair(b_in, b_out, ring) for b_in, b_out in pairs]
+    monkeypatch.setattr(exact, "solve_int", oracle_solve_int)
+    monkeypatch.setattr(exact, "_rref", oracle_rref_p)
+    slow = [homology_of_pair(b_in, b_out, ring) for b_in, b_out in pairs]
+    assert [g for g, _ in fast] == [g for g, _ in slow]
+    assert [reps for _, reps in fast] == [reps for _, reps in slow]

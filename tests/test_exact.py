@@ -1,10 +1,16 @@
 """Normal forms, kernels, saturation, presentations, isomorphism testing."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
+import sympy
 
+from tropfan import fixtures
+from tropfan.duality import _star_chain_status
 from tropfan.exact import (
+    MAX_MODULUS,
     GroupPresentation,
     RingTag,
     hermite_normal_form,
@@ -16,6 +22,8 @@ from tropfan.exact import (
     lattice_contains,
     saturate,
     smith_normal_form,
+    solve_field,
+    _is_prime,
 )
 from tropfan.intmat import IntMatrix, det_int
 
@@ -144,6 +152,20 @@ class TestKernel:
             assert (m * k).is_zero()
             if k.cols:
                 assert saturate(k) == k
+
+    def test_field_solve_over_q_stays_exact_on_int_columns(self):
+        # Callers pass integer kernel columns with Fraction targets; a pivot
+        # other than 1 must not turn them into floats.
+        sol = solve_field([[2, 0], [0, -3]], [[Fraction(1), Fraction(1)]], Q)
+        assert sol == [[Fraction(1, 2), Fraction(-1, 3)]]
+        assert all(isinstance(x, (int, Fraction)) for col in sol for x in col)
+
+    def test_star_chain_coordinates_over_q_are_exact(self):
+        for name in ["cross", "curve_r3", "surface_r4", "u34_bergman"]:
+            wf = fixtures.load(name).with_ring(Q)
+            for gamma in range(wf.fan.face_count()):
+                _, coords = _star_chain_status(wf, gamma)
+                assert all(isinstance(x, (int, Fraction)) for x in coords or [])
 
 
 class TestSaturate:
@@ -277,6 +299,32 @@ class TestRingTag:
             RingTag.parse("Fp:4")
         with pytest.raises(ValueError, match="not prime"):
             RingTag.Fp(9)
+
+    def test_large_prime_modulus_is_fast(self):
+        start = time.perf_counter()
+        assert RingTag.Fp(2**61 - 1).p == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_pseudoprimes_rejected(self):
+        # 561 is a Carmichael number; 2^61 + 1 is divisible by 3;
+        # 3825123056546413051 is a strong pseudoprime to the bases 2..23 and
+        # 318665857834031151167461 to the bases 2..37.
+        for n in (561, 2**61 + 1, 3825123056546413051, 318665857834031151167461):
+            with pytest.raises(ValueError, match="not prime"):
+                RingTag.Fp(n)
+
+    def test_primality_matches_sympy(self):
+        rng = random.Random(5)
+        samples = list(range(-2, 3000)) + [rng.randrange(MAX_MODULUS) for _ in range(300)]
+        samples += [MAX_MODULUS - 1, 2**61 - 1, 2**31 - 1, 1000000007]
+        for n in samples:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    def test_oversized_modulus_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            RingTag.Fp(MAX_MODULUS)
+        with pytest.raises(ValueError, match="too large"):
+            RingTag.parse(f"Fp:{10**30}")
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,17 @@ class TestParse:
         with pytest.raises(InputError, match="not prime"):
             parse_fan(json.dumps(doc))
 
+    def test_non_string_ring(self):
+        doc = {"ambient_rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]], "weights": [1, 1], "ring": 3}
+        with pytest.raises(InputError, match="ring"):
+            parse_fan(json.dumps(doc))
+
+    def test_oversized_modulus(self):
+        doc = {"ambient_rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]], "weights": [1, 1],
+               "ring": f"Fp:{10**25}"}
+        with pytest.raises(InputError, match="too large"):
+            parse_fan(json.dumps(doc))
+
     def test_rational_weight_needs_ring_q(self):
         doc = {
             "ambient_rank": 1,
@@ -225,6 +236,32 @@ class TestCli:
         assert run_cli(["homology", "--fan", path, "--p", "7"]) == 2
         assert run_cli(["euler", "--fan", path]) == 2  # ring Z document
         capsys.readouterr()
+
+    def test_oversized_ring_flag_exits_two(self, tmp_path, capsys):
+        path = self._write(tmp_path, "cross")
+        assert run_cli(["homology", "--fan", path, "--ring", f"Fp:{10**25 + 13}"]) == 2
+        assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            # The two documents from the report: `true` as a ray index and a weight.
+            ("balance", {"ambient_rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [True]], "weights": [1, 1]}),
+            ("balance", {"ambient_rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]], "weights": [True, 1]}),
+            ("balance", {"ambient_rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]], "weights": [1, False]}),
+            ("balance", {"ambient_rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                         "maximal_cones": [[0], [1], [2]], "faces": [[], [0], [True], [2]], "weights": [1, 1, 1]}),
+            ("bergman", {"ground_size": 3, "bases": [[0, 1], [0, 2], [True, 2]]}),
+        ],
+        ids=["cone-index", "weight-true", "weight-false", "face-index", "matroid-basis"],
+    )
+    def test_json_booleans_exit_two(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        flag = "--matroid" if command == "bergman" else "--fan"
+        assert run_cli([command, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
 
     def test_threads_flag_and_env(self, tmp_path, monkeypatch):
         path = self._write(tmp_path, "u34_bergman")

@@ -1,5 +1,7 @@
 """Multi-tangent modules: wedge bases, ranks, structure maps, duality."""
 
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -141,3 +143,25 @@ def test_dual_of_identity_inclusion():
     v = fan.vertex_id
     for tau in fan.faces_of_dim(1):
         assert sh.restriction(v, tau) == IntMatrix.identity(1)
+
+
+def test_fan_and_modules_freed_without_cycle_collector():
+    # A fan caches its modules; the modules must not keep the fan alive, or
+    # every fan waits for the cyclic collector and peak memory grows.
+    gc.disable()
+    try:
+        fan = bergman_fan(Matroid.uniform(3, 4)).fan
+        build_multicotangent(fan, 1)
+        assert fan.multitangent(1).fan is fan
+        ref = weakref.ref(fan)
+        del fan
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_dual_outlives_the_fan():
+    cosheaf = build_multitangent(cross_fan(), 1)
+    sheaf = cosheaf.dual()
+    assert sheaf.variance == "sheaf" and cosheaf.variance == "cosheaf"
+    assert sheaf.rank(0) == cosheaf.rank(0) == 2
