@@ -17,6 +17,7 @@ from .complexes import bm_chain_complex, compact_cochain_complex, plain_cochain_
 from .duality import (
     FAILS,
     HOLDS,
+    UnbalancedFanError,
     balancing_failure,
     cap_q0,
     classify_dim1,
@@ -124,10 +125,7 @@ def run_cli(argv) -> int:
     threads = args.threads if args.threads is not None else default_threads()
     try:
         return _dispatch(args, threads)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError, UnbalancedFanError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,8 @@ used for fans (homology of a d-fan lives in degrees 0..d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .exact import (
     GroupPresentation,
@@ -37,14 +39,13 @@ class ChainComplex:
     slice of the degree-q term.
     """
 
-    def __init__(self, direction, ring, degrees, blocks, diffs, check=True):
+    def __init__(self, direction, ring, degrees, blocks, diffs):
         self.direction = direction
         self.ring = ring
         self.degrees = list(degrees)
         self.blocks = blocks  # degree -> list[Block]
         self.diffs = diffs  # degree q -> matrix out of degree q
-        if check:
-            self._check_composition()
+        self._check_composition()
 
     def rank(self, q):
         return sum(b.rank for b in self.blocks.get(q, []))
@@ -350,31 +351,36 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
                     for i in range(bd.rank):
                         for j in range(k_g.cols):
                             restricted.data[bd.offset + i][j] = sign * k_g.data[bs.offset + i][j]
-                coords = _solve_in_kernel(kernels[kappa], restricted, ring)
-                for i in range(coords.rows):
-                    for j in range(coords.cols):
-                        mat.data[bk.offset + i][bg.offset + j] = coords.data[i][j]
+                coords = _coords_in_kernel(kernels[kappa], restricted.columns(), ring)
+                for j, col in enumerate(coords):
+                    for i, x in enumerate(col):
+                        mat.data[bk.offset + i][bg.offset + j] = x
         diffs[r] = mat
     return ChainComplex("cohomological", ring, degrees, blocks, diffs)
 
 
-def _solve_in_kernel(kernel: IntMatrix, image: IntMatrix, ring: RingTag) -> IntMatrix:
-    """Coordinates of image columns in the kernel basis; failure means the
-    image escaped the kernel, i.e. an incidence-sign bug."""
-    if kernel.cols == 0:
-        zero = (
-            all(x % ring.p == 0 for row in image.data for x in row)
-            if ring.kind == "Fp"
-            else image.is_zero()
-        )
-        if not zero:
+def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
+    """Coordinates of columns of ring elements in a star kernel basis from
+    `_star_top_kernel`, one coordinate column per column.
+
+    Over Z and Q the basis is saturated, so an integer column in its span
+    has integer coordinates; a Q column is scaled by the lcm of its
+    denominators first and divided back after. Over F_p the mod-p kernel is
+    solved mod p. A column outside the span raises ValueError, which means an
+    incidence-sign or balancing bug.
+    """
+    if kern.cols == 0:
+        if not all(ring.is_zero(x) for col in columns for x in col):
             raise ValueError("image does not lie in the kernel")
-        return IntMatrix(0, image.cols)
+        return [[] for _ in columns]
+    if not columns:
+        return []
     if ring.kind == "Fp":
-        sol = solve_field(
-            [kernel.column(j) for j in range(kernel.cols)],
-            [image.column(j) for j in range(image.cols)],
-            ring,
-        )
-        return IntMatrix.from_cols(sol, rows=kernel.cols) if sol else IntMatrix(kernel.cols, 0)
-    return solve_int(kernel, image)
+        return solve_field(kern.columns(), [[x % ring.p for x in col] for col in columns], ring)
+    scales = [lcm(*(x.denominator for x in col)) for col in columns]
+    scaled = [[int(x * s) for x in col] for col, s in zip(columns, scales)]
+    sol = solve_int(kern, IntMatrix.from_cols(scaled, rows=kern.rows))
+    return [
+        [sol.data[i][j] if s == 1 else Fraction(sol.data[i][j], s) for i in range(kern.cols)]
+        for j, s in enumerate(scales)
+    ]

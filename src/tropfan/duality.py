@@ -20,6 +20,7 @@ from .complexes import (
     euler_characteristic,
     star_homology_table,
     star_top_boundary,
+    _coords_in_kernel,
     _star_top_kernel,
 )
 from .exact import RingTag
@@ -30,6 +31,10 @@ from .sheaves import wedge_basis
 
 class TheoremViolation(RuntimeError):
     """An internal cross-check of a proved equivalence failed: a bug."""
+
+
+class UnbalancedFanError(ValueError):
+    """A certificate was asked of a weighted fan that is not balanced."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +101,7 @@ def _rnorm(x, ring: RingTag):
 
 
 def _rzero(x, ring: RingTag):
-    return _rnorm(x, ring) == (Fraction(0) if ring.kind == "Q" else 0)
+    return _rnorm(x, ring) == 0
 
 
 def _int_mat_times_ring_vec(mat: IntMatrix, vec, ring: RingTag):
@@ -111,15 +116,10 @@ def _det_ring(columns, ring: RingTag):
     n = len(columns)
     if any(len(c) != n for c in columns):
         raise ValueError("determinant of a non-square system")
-    if ring.kind == "Q":
-        # Clear each column's denominators: det(M) = det(M D) / det(D).
-        columns = [[Fraction(x) for x in c] for c in columns]
-        dens = [lcm(*(x.denominator for x in c)) for c in columns]
-        m = IntMatrix.from_cols([[int(x * d) for x in c] for c, d in zip(columns, dens)], rows=n)
-        return Fraction(det_int(m), prod(dens))
-    m = IntMatrix.from_cols([[int(x) for x in c] for c in columns], rows=n)
-    d = det_int(m)
-    return d % ring.p if ring.kind == "Fp" else d
+    # Clear each column's denominators (Q only): det(M) = det(M D) / det(D).
+    dens = [lcm(*(x.denominator for x in c)) for c in columns]
+    m = IntMatrix.from_cols([[int(x * d) for x in c] for c, d in zip(columns, dens)], rows=n)
+    return ring.coerce(Fraction(det_int(m), prod(dens)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def is_balanced(wf: WeightedFan) -> bool:
 def _require_balanced(wf):
     beta = balancing_failure(wf)
     if beta is not None:
-        raise ValueError(f"fan is not balanced (fails at face {beta})")
+        raise UnbalancedFanError(f"fan is not balanced (fails at face {beta})")
 
 
 def _star_chain_status(wf: WeightedFan, gamma: int):
@@ -207,37 +207,18 @@ def _star_chain_status(wf: WeightedFan, gamma: int):
     ch = fundamental_chain(wf).vector(blocks)
     if kern.cols == 0:
         return 0, None
-    if wf.ring.kind == "Z":
-        coords = solve_int(kern, IntMatrix.from_cols([ch], rows=len(ch)))
-        return kern.cols, [coords.data[i][0] for i in range(kern.cols)]
-    from .exact import solve_field
-
-    sol = solve_field(
-        [kern.column(j) for j in range(kern.cols)],
-        [[wf.ring.coerce(x) for x in ch]],
-        wf.ring,
-    )
-    return kern.cols, sol[0]
+    return kern.cols, _coords_in_kernel(kern, [ch], wf.ring)[0]
 
 
 def is_uniquely_balanced(wf: WeightedFan) -> bool:
     """Whether the fundamental class generates the whole top BM homology."""
     _require_balanced(wf)
-    rank, coords = _star_chain_status(wf, wf.fan.vertex_id)
-    if rank != 1:
-        return False
-    if wf.ring.kind == "Z":
-        return coords[0] in (1, -1)
-    return not _rzero(coords[0], wf.ring)
+    return _star_uniquely_balanced(wf, wf.fan.vertex_id)
 
 
 def _star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
     rank, coords = _star_chain_status(wf, gamma)
-    if rank != 1:
-        return False
-    if wf.ring.kind == "Z":
-        return coords[0] in (1, -1)
-    return not _rzero(coords[0], wf.ring)
+    return rank == 1 and wf.ring.is_unit(coords[0])
 
 
 def stars_balanced_check(wf: WeightedFan) -> bool:
@@ -279,10 +260,7 @@ class CapResult:
             return False
         if self.domain_rank == 0:
             return True
-        det = _det_ring(self.kernel_columns, self.ring)
-        if self.ring.kind == "Z":
-            return det in (1, -1)
-        return det != (Fraction(0) if self.ring.kind == "Q" else 0)
+        return self.ring.is_unit(_det_ring(self.kernel_columns, self.ring))
 
     def failure_witness(self):
         if self.domain_rank != self.kernel_basis.cols:
@@ -337,25 +315,6 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
         columns.append(col)
     kernel_columns = _coords_in_kernel(kern, columns, ring)
     return CapResult(gamma, p, ring, src_rank, blocks, columns, kern, kernel_columns)
-
-
-def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
-    if not columns:
-        return []
-    n = len(columns[0])
-    if kern.cols == 0:
-        for col in columns:
-            if not all(_rzero(x, ring) for x in col):
-                raise ValueError("cap image escaped the top homology kernel")
-        return [[] for _ in columns]
-    if ring.kind == "Z":
-        sol = solve_int(kern, IntMatrix.from_cols(columns, rows=n))
-        return [[sol.data[i][j] for i in range(kern.cols)] for j in range(len(columns))]
-    from .exact import solve_field
-
-    kcols = [[ring.coerce(kern.data[i][j]) for i in range(n)] for j in range(kern.cols)]
-    target = [[ring.coerce(x) for x in col] for col in columns]
-    return solve_field(kcols, target, ring)
 
 
 def cap_q0(wf: WeightedFan, p: int) -> CapResult:
@@ -578,23 +537,16 @@ class StarsTheoremReport:
     ray_stars_tpd: bool | None = None  # populated in dimension two
 
 
-def _global_vanishing(wf: WeightedFan) -> bool:
+def _stars_vanish(wf: WeightedFan, faces) -> bool:
+    """Whether the star of every given face has homology only in the top
+    degree, for every coefficient degree."""
     fan = wf.fan
     d = fan.dim
-    for p in range(d + 1):
-        if not star_homology_table(fan, fan.vertex_id, p, wf.ring).is_trivial_except([d]):
-            return False
-    return True
-
-
-def _all_star_vanishing(wf: WeightedFan) -> bool:
-    fan = wf.fan
-    d = fan.dim
-    for gamma in range(fan.face_count()):
-        for p in range(d + 1):
-            if not star_homology_table(fan, gamma, p, wf.ring).is_trivial_except([d]):
-                return False
-    return True
+    return all(
+        star_homology_table(fan, gamma, p, wf.ring).is_trivial_except([d])
+        for gamma in faces
+        for p in range(d + 1)
+    )
 
 
 def tpd_from_stars_check(wf: WeightedFan, threads: int = 1) -> StarsTheoremReport:
@@ -606,7 +558,7 @@ def tpd_from_stars_check(wf: WeightedFan, threads: int = 1) -> StarsTheoremRepor
     if d < 2:
         raise ValueError("the star criterion needs dimension >= 2")
     _require_balanced(wf)
-    vanishing = _global_vanishing(wf)
+    vanishing = _stars_vanish(wf, [fan.vertex_id])
     proper = [g for g in range(fan.face_count()) if fan.faces[g].dim >= 1]
     proper_ok = all(_star_tpd_report(wf, g).verdict for g in proper)
     conclusion = is_tpd(wf, threads=threads).verdict
@@ -661,7 +613,7 @@ def local_tpd_characterization(wf: WeightedFan, threads: int = 1) -> LocalTpdCha
     _require_balanced(wf)
     fan = wf.fan
     d = fan.dim
-    vanishing = _all_star_vanishing(wf)
+    vanishing = _stars_vanish(wf, range(fan.face_count()))
     codim1 = fan.faces_of_dim(d - 1)
     codim1_ok = all(_star_tpd_report(wf, b).verdict for b in codim1)
     characterization = vanishing and codim1_ok

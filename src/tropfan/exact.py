@@ -6,9 +6,12 @@ subquotients, and isomorphism testing for maps between presented modules.
 Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
 
-Ranks and solves over Z use the fraction-free elimination of `intmat`.
-Elimination over Q and F_p (`_rref`) is row-sparse: each pivot row updates
-the other rows in its nonzero columns only, with the reduction mod p inline.
+Ranks and solves over Z use the fraction-free elimination of `intmat`. Q runs
+on the same integer engine: the complexes here are complexes of free
+Z-modules, so H(C (x) Q) = H(C) (x) Q, and a map between saturated integer
+bases is bijective over Q exactly when its integer determinant is nonzero.
+Only F_p uses `_rref`, which is row-sparse: each pivot row updates the other
+rows in its nonzero columns only, with the reduction mod p inline.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class RingTag:
         return value
 
     def is_zero(self, x):
-        return self.coerce(x) == (0 if self.kind != "Q" else Fraction(0))
+        return self.coerce(x) == 0
 
     def is_unit(self, x):
         x = self.coerce(x)
@@ -365,22 +368,20 @@ def rank_over_q(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Field elimination (Q and F_p share one code path)
+# Elimination over F_p
 
 
 def field_matrix(m: IntMatrix, ring: RingTag):
-    """The rows of m as field elements: Fractions over Q, residues mod p."""
-    if ring.kind == "Q":
-        return [[Fraction(x) for x in row] for row in m.data]
+    """The rows of m as residues mod p."""
     p = ring.p
     return [[x % p for x in row] for row in m.data]
 
 
-def _rref(a, cols, p=None):
-    """In-place reduced row echelon form of the first `cols` columns of the
-    rows `a`, over F_p (entries in [0, p)) or over Q (Fraction entries) when
-    p is None. Row operations act on whole rows but only touch the nonzero
-    columns of the pivot row. Returns the pivot column list."""
+def _rref(a, cols, p):
+    """In-place reduced row echelon form over F_p of the first `cols` columns
+    of the rows `a` (entries in [0, p)). Row operations act on whole rows but
+    only touch the nonzero columns of the pivot row. Returns the pivot column
+    list."""
     pivots = []
     n = len(a)
     r = 0
@@ -392,12 +393,8 @@ def _rref(a, cols, p=None):
         a[i0] = a[r]
         x = prow[c]
         if x != 1:
-            if p is None:
-                inv = 1 / Fraction(x)  # callers may pass ints; int / int is a float
-                prow = [y * inv for y in prow]
-            else:
-                inv = pow(x, -1, p)
-                prow = [y * inv % p for y in prow]
+            inv = pow(x, -1, p)
+            prow = [y * inv % p for y in prow]
         a[r] = prow
         support = [j for j, y in enumerate(prow) if y]
         for i in range(n):
@@ -405,12 +402,8 @@ def _rref(a, cols, p=None):
             f = row[c]
             if not f or i == r:
                 continue
-            if p is None:
-                for j in support:
-                    row[j] -= f * prow[j]
-            else:
-                for j in support:
-                    row[j] = (row[j] - f * prow[j]) % p
+            for j in support:
+                row[j] = (row[j] - f * prow[j]) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -421,25 +414,25 @@ def rank_field(m: IntMatrix, ring: RingTag) -> int:
 
 
 def kernel_field(m: IntMatrix, ring: RingTag):
-    """Kernel basis over the field, as a list of coordinate columns."""
+    """Kernel basis over F_p, as a list of coordinate columns."""
+    p = ring.p
     a = field_matrix(m, ring)
-    pivots = _rref(a, m.cols, ring.p)
-    zero, one = (Fraction(0), Fraction(1)) if ring.kind == "Q" else (0, 1)
+    pivots = _rref(a, m.cols, p)
     pivot_set = set(pivots)
     basis = []
     for c in range(m.cols):
         if c in pivot_set:
             continue
-        vec = [zero] * m.cols
-        vec[c] = one
+        vec = [0] * m.cols
+        vec[c] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][c] if ring.kind == "Q" else -a[r][c] % ring.p
+            vec[pc] = -a[r][c] % p
         basis.append(vec)
     return basis
 
 
 def solve_field(a_cols, b_cols, ring: RingTag):
-    """Solve A*X = B where A, B are given by columns of field elements.
+    """Solve A*X = B over F_p where A, B are given by columns of residues.
 
     Raises ValueError when inconsistent or when A has dependent columns.
     """
@@ -452,14 +445,6 @@ def solve_field(a_cols, b_cols, ring: RingTag):
     if len(pivots) != ca:
         raise ValueError("dependent columns in field solve")
     return [[aug[r][ca + j] for r in range(ca)] for j in range(cb)]
-
-
-def det_field(m: IntMatrix, ring: RingTag):
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if ring.kind == "Q":
-        return Fraction(det_int(m))
-    return det_int(m) % ring.p
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +492,10 @@ def homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: Ring
     their composition must vanish. Returns (GroupPresentation, reps) where
     reps is a list of coordinate columns in the middle group: torsion
     generators first (matching invariant factor order), then free generators.
+
+    Z and Q share the integer path. The matrices define free Z-modules, so
+    the Q group is the free part of the Z group and its representatives are
+    the integer free generators. Only F_p eliminates mod p.
     """
     n = boundary_out.cols
     if boundary_in.rows != n:
@@ -520,7 +509,7 @@ def homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: Ring
     if not comp_zero:
         raise ValueError("not a complex: boundary_out * boundary_in != 0")
 
-    if ring.is_field:
+    if ring.kind == "Fp":
         kb = kernel_field(boundary_out, ring)
         if not kb:
             return GroupPresentation(0), []
@@ -536,7 +525,7 @@ def homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: Ring
                 reps.append(kb[i])
         return GroupPresentation(len(reps)), reps
 
-    # Integer path: SNF of the image expressed in the kernel lattice basis.
+    # Z and Q: SNF of the image expressed in the kernel lattice basis.
     kmat = kernel_lattice(boundary_out)
     k = kmat.cols
     if k == 0:
@@ -552,6 +541,8 @@ def homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: Ring
     torsion = tuple(d for d in diag if d > 1)
     reps = [adapted.column(i) for i in range(rank_x) if diag[i] > 1]
     reps += [adapted.column(i) for i in range(rank_x, k)]
+    if ring.kind == "Q":
+        return GroupPresentation(k - rank_x), reps[len(torsion):]
     return GroupPresentation(k - rank_x, torsion), reps
 
 
@@ -575,7 +566,7 @@ def is_isomorphism(map_matrix: IntMatrix, dom: GroupPresentation, cod: GroupPres
             raise ValueError("field presentations cannot carry torsion")
         if dom.free_rank != cod.free_rank:
             return False
-        return det_field(map_matrix, ring) != (Fraction(0) if ring.kind == "Q" else 0)
+        return not ring.is_zero(det_int(map_matrix))
 
     if not dom.invariant_factors and not cod.invariant_factors:
         # Free modules: bijective iff square with unit determinant.

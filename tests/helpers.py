@@ -320,3 +320,16 @@ def oracle_kernel_field(m: IntMatrix, ring: RingTag):
             vec[pc] = ops.sub(ops.of_int(0), a[r][c])
         basis.append(vec)
     return basis
+
+
+def oracle_solve_field(a_cols, b_cols, ring: RingTag):
+    """The field solve that the integer kernel-coordinate solve replaced over
+    Q: A*X = B by Gauss-Jordan elimination on the augmented columns."""
+    ops = OracleFieldOps(ring)
+    n, ca, cb = len(a_cols[0]), len(a_cols), len(b_cols)
+    aug = [[ops.of_int(a_cols[j][i]) for j in range(ca)] + [ops.of_int(b_cols[j][i]) for j in range(cb)]
+           for i in range(n)]
+    pivots = oracle_rref(aug, n, ca + cb, ops)
+    if any(c >= ca for c in pivots) or len(pivots) != ca:
+        raise ValueError("no unique solution over the field")
+    return [[aug[r][ca + j] for r in range(ca)] for j in range(cb)]

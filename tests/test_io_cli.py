@@ -1,8 +1,14 @@
 """Document parsing, canonical serialization, and the CLI surface."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropfan import fixtures
 from tropfan.cli import run_cli
@@ -277,3 +283,65 @@ class TestCli:
         run_cli(["tpd", "--fan", path, "--json"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestCliUnbalancedAndQ:
+    @pytest.mark.parametrize("command", ["tpd", "local-tpd", "euler", "dim1"])
+    def test_unbalanced_fan_exits_two(self, tmp_path, capsys, command):
+        doc = json.loads(fixtures.text("cross"))
+        doc["weights"] = [1, 2, 1, 1]
+        path = tmp_path / "bad_cross.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli([command, "--fan", str(path), "--ring", "Q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: fan is not balanced (fails at face 0)\n"
+        assert "Traceback" not in captured.err and not captured.out
+
+    def test_q_outputs_hold_no_fraction_repr(self, tmp_path, capsys):
+        for name in ALL_FIXTURES:
+            path = tmp_path / f"{name}.json"
+            path.write_text(fixtures.text(name))
+            for command in ["tpd", "local-tpd", "homology", "star-row"]:
+                for extra in ([], ["--json"]):
+                    run_cli([command, "--fan", str(path), "--ring", "Q"] + extra)
+                    captured = capsys.readouterr()
+                    assert "Fraction(" not in captured.out + captured.err, (name, command, extra)
+
+    def test_q_witness_is_the_integer_free_class(self, tmp_path, capsys):
+        path = tmp_path / "surface_r3.json"
+        path.write_text(fixtures.text("surface_r3"))
+        assert run_cli(["tpd", "--fan", str(path), "--ring", "Q", "--json"]) == 1
+        entries = json.loads(capsys.readouterr().out)["results"]["entries"]
+        witnesses = [e["witness"] for e in entries if not e["ok"]]
+        assert witnesses == ["class [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, -1, 0]", "rank mismatch 3 vs 5"]
+
+
+_NONZERO = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _curve_documents(draw):
+    name = draw(st.sampled_from(["cross", "curve_r3"]))
+    doc = json.loads(fixtures.text(name))
+    n = len(doc["weights"])
+    if draw(st.booleans()):
+        doc["weights"] = [draw(_NONZERO) * w for w in doc["weights"]]  # balanced
+    else:
+        doc["weights"] = draw(st.lists(_NONZERO, min_size=n, max_size=n))
+    return doc
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_curve_documents())
+def test_cli_certificates_never_raise(doc):
+    # Every command ends in a verdict (0 or 1) or an input error (2); no
+    # exception escapes run_cli, whatever the weights.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fan.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for ring in ["Z", "Q", "Fp:3"]:
+            for command in ["balance", "tpd", "local-tpd", "euler", "dim1"]:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = run_cli([command, "--fan", path, "--ring", ring])
+                assert code in (0, 1, 2), (command, ring, code)
