@@ -94,14 +94,13 @@ def _inputs(args):
     return out
 
 
-def _load_weighted_fan(args):
-    wf = tfio.parse_fan(args.fan)
-    if args.ring:
-        try:
-            wf = wf.with_ring(RingTag.parse(args.ring))
-        except ValueError as e:
-            raise InputError(str(e)) from None
-    return wf
+def _with_ring_override(wf, args):
+    if not args.ring:
+        return wf
+    try:
+        return wf.with_ring(RingTag.parse(args.ring))
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _degrees(args, d):
@@ -139,12 +138,10 @@ def _dispatch(args, threads) -> int:
             wf = bergman_fan(m)
         except ValueError as e:
             raise InputError(str(e)) from None
-        if args.ring:
-            wf = wf.with_ring(RingTag.parse(args.ring))
-        _emit(tfio.serialize_fan(wf), args)
+        _emit(tfio.serialize_fan(_with_ring_override(wf, args)), args)
         return 0
 
-    wf = _load_weighted_fan(args)
+    wf = _with_ring_override(tfio.parse_fan(args.fan), args)
     fan = wf.fan
     d = fan.dim
 
@@ -197,7 +194,7 @@ def _dispatch(args, threads) -> int:
         return 0
 
     if cmd == "tpd":
-        report = is_tpd(wf, threads=threads)
+        report = is_tpd(wf)
         if args.json:
             _emit(_report(args, report.to_dict()), args)
         else:

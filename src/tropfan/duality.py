@@ -10,7 +10,7 @@ prime fields and report exact witnesses on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
@@ -194,20 +194,9 @@ def is_balanced(wf: WeightedFan) -> bool:
 
 
 def _require_balanced(wf):
-    beta = balancing_failure(wf)
+    beta = wf.memo("balancing", lambda: balancing_failure(wf))
     if beta is not None:
         raise UnbalancedFanError(f"fan is not balanced (fails at face {beta})")
-
-
-def _star_chain_status(wf: WeightedFan, gamma: int):
-    """(kernel_rank, generator_coordinates) for the star chain at gamma."""
-    fan = wf.fan
-    module = fan.multitangent(fan.dim)
-    blocks, kern = _star_top_kernel(fan, module, gamma, wf.ring)
-    ch = fundamental_chain(wf).vector(blocks)
-    if kern.cols == 0:
-        return 0, None
-    return kern.cols, _coords_in_kernel(kern, [ch], wf.ring)[0]
 
 
 def is_uniquely_balanced(wf: WeightedFan) -> bool:
@@ -217,8 +206,14 @@ def is_uniquely_balanced(wf: WeightedFan) -> bool:
 
 
 def _star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
-    rank, coords = _star_chain_status(wf, gamma)
-    return rank == 1 and wf.ring.is_unit(coords[0])
+    """Whether the star kernel at gamma has rank one, generated by the
+    restricted fundamental chain."""
+    fan = wf.fan
+    blocks, kern = _star_top_kernel(fan, fan.multitangent(fan.dim), gamma, wf.ring)
+    if kern.cols != 1:
+        return False
+    coords = _coords_in_kernel(kern, [fundamental_chain(wf).vector(blocks)], wf.ring)[0]
+    return wf.ring.is_unit(coords[0])
 
 
 def stars_balanced_check(wf: WeightedFan) -> bool:
@@ -276,18 +271,22 @@ def _cap_block_matrix(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
 
 
 def _cap_block_compute(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
+    rho = fan.multitangent(p).inclusion(alpha, gamma).transpose()
+    return fan.memo(("capchange", alpha, p), lambda: _cap_change_compute(fan, alpha, p)) * rho
+
+
+def _cap_change_compute(fan: Fan, alpha: int, p: int) -> IntMatrix:
+    """Contraction against Lambda_alpha from stored dual degree-p coordinates
+    at alpha to the stored degree-(d-p) basis at alpha."""
     d = fan.dim
-    fp = fan.multitangent(p)
-    fdp = fan.multitangent(d - p)
     basis_alpha = fan.faces[alpha].lattice_basis
-    rho = fp.inclusion(alpha, gamma).transpose()
     # Dual coordinates: stored basis -> wedge basis of the face basis.
-    t_p = solve_int(wedge_basis(basis_alpha, p), fp.basis[alpha])
+    t_p = solve_int(wedge_basis(basis_alpha, p), fan.multitangent(p).basis[alpha])
     dual_change = solve_int(t_p, IntMatrix.identity(t_p.rows)).transpose()
     contr = _contraction_against_top(d, p)
-    t_dp = solve_int(wedge_basis(basis_alpha, d - p), fdp.basis[alpha])
+    t_dp = solve_int(wedge_basis(basis_alpha, d - p), fan.multitangent(d - p).basis[alpha])
     back = solve_int(t_dp, IntMatrix.identity(t_dp.rows))
-    return back * contr * dual_change * rho
+    return back * contr * dual_change
 
 
 def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
@@ -411,6 +410,17 @@ def _vanishing_witness(group, reps):
     return str(group)
 
 
+def _star_report(wf: WeightedFan, gamma: int) -> TpdReport:
+    """The star report at gamma, computed once per weighted fan and shared by
+    every certificate. Callers must not mutate it."""
+    return wf.memo(("star_report", gamma), lambda: _star_tpd_report(wf, gamma))
+
+
+def _vanishes(report: TpdReport) -> bool:
+    """Whether the star's homology is concentrated in the top degree."""
+    return all(e.ok for e in report.entries if e.kind == "vanishing")
+
+
 def _star_tpd_report(wf: WeightedFan, gamma: int) -> TpdReport:
     """Duality report for the star of a face, via the subdivision-free star
     complexes: homology concentrated in the top degree plus bijective caps."""
@@ -439,13 +449,11 @@ def _star_tpd_report(wf: WeightedFan, gamma: int) -> TpdReport:
     return TpdReport(wf.ring, verdict, entries, base=gamma)
 
 
-def is_tpd(wf: WeightedFan, threads: int = 1) -> TpdReport:
+def is_tpd(wf: WeightedFan) -> TpdReport:
     """Global duality certificate: vanishing below the top degree for every
     coefficient degree, plus a bijective cap at the vertex for every p."""
     _require_balanced(wf)
-    report = _star_tpd_report(wf, wf.fan.vertex_id)
-    report.base = None
-    return report
+    return replace(_star_report(wf, wf.fan.vertex_id), base=None)
 
 
 @dataclass
@@ -475,7 +483,7 @@ def is_local_tpd(wf: WeightedFan, threads: int = 1) -> LocalTpdReport:
     face_ids = list(range(fan.face_count()))
     from .pool import run_jobs
 
-    reports = run_jobs([lambda g=g: _star_tpd_report(wf, g) for g in face_ids], threads)
+    reports = run_jobs([lambda g=g: _star_report(wf, g) for g in face_ids], threads)
     per_face = dict(zip(face_ids, reports))
     verdict = all(r.verdict for r in per_face.values())
     return LocalTpdReport(wf.ring, verdict, per_face)
@@ -537,19 +545,7 @@ class StarsTheoremReport:
     ray_stars_tpd: bool | None = None  # populated in dimension two
 
 
-def _stars_vanish(wf: WeightedFan, faces) -> bool:
-    """Whether the star of every given face has homology only in the top
-    degree, for every coefficient degree."""
-    fan = wf.fan
-    d = fan.dim
-    return all(
-        star_homology_table(fan, gamma, p, wf.ring).is_trivial_except([d])
-        for gamma in faces
-        for p in range(d + 1)
-    )
-
-
-def tpd_from_stars_check(wf: WeightedFan, threads: int = 1) -> StarsTheoremReport:
+def tpd_from_stars_check(wf: WeightedFan) -> StarsTheoremReport:
     """Evaluates: global vanishing + duality on all proper stars => global
     duality. The implication is asserted on every run; in dimension two the
     ray-star biconditional (under vanishing) is asserted as well."""
@@ -558,10 +554,10 @@ def tpd_from_stars_check(wf: WeightedFan, threads: int = 1) -> StarsTheoremRepor
     if d < 2:
         raise ValueError("the star criterion needs dimension >= 2")
     _require_balanced(wf)
-    vanishing = _stars_vanish(wf, [fan.vertex_id])
+    vanishing = _vanishes(_star_report(wf, fan.vertex_id))
     proper = [g for g in range(fan.face_count()) if fan.faces[g].dim >= 1]
-    proper_ok = all(_star_tpd_report(wf, g).verdict for g in proper)
-    conclusion = is_tpd(wf, threads=threads).verdict
+    proper_ok = all(_star_report(wf, g).verdict for g in proper)
+    conclusion = is_tpd(wf).verdict
     if vanishing and proper_ok and not conclusion:
         raise TheoremViolation("star hypotheses hold but global duality fails")
     if vanishing and proper_ok:
@@ -570,9 +566,7 @@ def tpd_from_stars_check(wf: WeightedFan, threads: int = 1) -> StarsTheoremRepor
         status = HYPOTHESIS_VIOLATED
     ray_stars = None
     if d == 2 and vanishing:
-        rays_ok = all(
-            _star_tpd_report(wf, g).verdict for g in fan.faces_of_dim(1)
-        )
+        rays_ok = all(_star_report(wf, g).verdict for g in fan.faces_of_dim(1))
         ray_stars = rays_ok
         # Ray-star duality forces unit weights, hence duality of the top
         # stars too, so with vanishing it implies global duality over any of
@@ -613,9 +607,9 @@ def local_tpd_characterization(wf: WeightedFan, threads: int = 1) -> LocalTpdCha
     _require_balanced(wf)
     fan = wf.fan
     d = fan.dim
-    vanishing = _stars_vanish(wf, range(fan.face_count()))
+    vanishing = all(_vanishes(_star_report(wf, g)) for g in range(fan.face_count()))
     codim1 = fan.faces_of_dim(d - 1)
-    codim1_ok = all(_star_tpd_report(wf, b).verdict for b in codim1)
+    codim1_ok = all(_star_report(wf, b).verdict for b in codim1)
     characterization = vanishing and codim1_ok
     direct = is_local_tpd(wf, threads=threads).verdict
     if characterization != direct:

@@ -205,12 +205,20 @@ class WeightedFan:
         if set(weights) != set(tops):
             raise ValueError("weights must cover exactly the top-dimensional faces")
         self.weights = {fid: ring.validate_weight(w) for fid, w in weights.items()}
+        self._memo = {}
 
     def weight(self, fid):
         return self.weights[fid]
 
     def with_ring(self, ring: RingTag):
         return WeightedFan(self.fan, ring, dict(self.weights))
+
+    def memo(self, key, compute):
+        """Per-weighted-fan memo for facts that depend on the weights and the
+        ring (balancing, star reports); `with_ring` copies start empty."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 # ---------------------------------------------------------------------------

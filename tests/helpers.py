@@ -333,3 +333,23 @@ def oracle_solve_field(a_cols, b_cols, ring: RingTag):
     if any(c >= ca for c in pivots) or len(pivots) != ca:
         raise ValueError("no unique solution over the field")
     return [[aug[r][ca + j] for r in range(ca)] for j in range(cb)]
+
+
+def oracle_cap_block(fan, alpha: int, gamma: int, p: int) -> IntMatrix:
+    """The cap block as it was built before its dual-coordinate change was
+    shared across the faces gamma below alpha: every factor per call."""
+    from tropfan.duality import _contraction_against_top
+    from tropfan.intmat import solve_int
+    from tropfan.sheaves import wedge_basis
+
+    d = fan.dim
+    fp = fan.multitangent(p)
+    fdp = fan.multitangent(d - p)
+    basis_alpha = fan.faces[alpha].lattice_basis
+    rho = fp.inclusion(alpha, gamma).transpose()
+    t_p = solve_int(wedge_basis(basis_alpha, p), fp.basis[alpha])
+    dual_change = solve_int(t_p, IntMatrix.identity(t_p.rows)).transpose()
+    contr = _contraction_against_top(d, p)
+    t_dp = solve_int(wedge_basis(basis_alpha, d - p), fdp.basis[alpha])
+    back = solve_int(t_dp, IntMatrix.identity(t_dp.rows))
+    return back * contr * dual_change * rho

@@ -4,6 +4,8 @@ import pytest
 
 from tropfan import fixtures
 from tropfan.complexes import (
+    Block,
+    ChainComplex,
     bm_chain_complex,
     compact_cochain_complex,
     constant_compact_cochain,
@@ -17,7 +19,7 @@ from tropfan.fans import build_fan
 from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
-from helpers import F2, Q, Z, cross_fan, curve_fan, weighted
+from helpers import F2, F3, Q, Z, cross_fan, curve_fan, weighted
 
 ALL_FIXTURES = ["cross", "curve_r3", "surface_r4", "surface_r3", "u34_bergman"]
 
@@ -280,3 +282,20 @@ def test_star_row_over_prime_field():
     wf = fixtures.load("u34_bergman")
     table = star_row_complex(wf, 1, F2).homology()
     assert table.nonzero_degrees() == [2]
+
+
+def _three_term_complex(ring):
+    """Z -3-> Z -1-> Z: the differentials compose to 3."""
+    blocks = {q: [Block(q, 1, 0)] for q in (0, 1, 2)}
+    diffs = {1: IntMatrix(1, 1, [[1]]), 2: IntMatrix(1, 1, [[3]])}
+    return ChainComplex("homological", ring, [0, 1, 2], blocks, diffs)
+
+
+def test_homology_rejects_a_non_complex():
+    with pytest.raises(ValueError, match="not a complex"):
+        _three_term_complex(Z).homology()
+
+
+def test_composition_checked_modulo_p():
+    table = _three_term_complex(F3).homology()
+    assert [str(table.group(q)) for q in (0, 1, 2)] == ["0", "0", str(GroupPresentation(1))]

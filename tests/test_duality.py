@@ -1,15 +1,19 @@
 """Contraction, balancing, cap products, and the duality certificates."""
 
 import random
+import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+import tropfan.duality as duality
 from tropfan import fixtures
 from tropfan.duality import (
     FAILS,
     HOLDS,
     HYPOTHESIS_VIOLATED,
+    TheoremViolation,
     balancing_failure,
     cap_chain_general,
     cap_q0,
@@ -40,6 +44,7 @@ from helpers import (
     cross_fan,
     curve_fan,
     line_fan,
+    oracle_cap_block,
     random_balanced_curve,
     random_surface,
     weighted,
@@ -459,3 +464,103 @@ class TestStarTheorems:
             wf_f = wf.with_ring(ring)
             tpd_from_stars_check(wf_f)
             local_tpd_characterization(wf_f)
+
+
+# ---------------------------------------------------------------------------
+# One certificate per weighted fan
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(duality, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(duality, name, counted)
+    return calls
+
+
+def _all_four_checks(wf):
+    is_tpd(wf)
+    is_local_tpd(wf)
+    tpd_from_stars_check(wf)
+    local_tpd_characterization(wf)
+
+
+class TestSharedCertificate:
+    def test_balancing_checked_once_per_weighted_fan(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "balancing_failure")
+        for name in ("surface_r4", "surface_r3", "u34_bergman"):
+            calls.clear()
+            _all_four_checks(fixtures.load(name))
+            assert len(calls) == 1
+
+    def test_star_reports_computed_once_per_face(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "_star_tpd_report")
+        wf = fixtures.load("u34_bergman")
+        _all_four_checks(wf)
+        assert sorted(calls) == [(g,) for g in range(wf.fan.face_count())]
+
+    def test_pooled_local_tpd_shares_the_memo(self, monkeypatch):
+        # Pool workers fill one weighted fan's memo: with thread switches
+        # forced often, every face is still computed once and the report
+        # matches the serial one.
+        serial = is_local_tpd(fixtures.load("u34_bergman")).to_dict()
+        calls = _count_calls(monkeypatch, "_star_tpd_report")
+        wf = fixtures.load("u34_bergman")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = is_local_tpd(wf, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.to_dict() == serial
+        assert sorted(calls) == [(g,) for g in range(wf.fan.face_count())]
+        assert all(rep is duality._star_report(wf, g) for g, rep in pooled.per_face.items())
+
+    @pytest.mark.parametrize("global_first", [True, False])
+    def test_global_report_does_not_touch_the_shared_one(self, global_first):
+        wf = fixtures.load("surface_r4")
+        v = wf.fan.vertex_id
+        if global_first:
+            assert is_tpd(wf).base is None
+        assert is_local_tpd(wf).per_face[v].base == v
+        assert is_tpd(wf).base is None
+        assert is_local_tpd(wf).per_face[v].base == v
+
+    def test_with_ring_copy_starts_without_reports(self):
+        # Weight 2 on the line is a unit over Q but not over Z.
+        wf_z = weighted(line_fan(), [2, 2], Z)
+        assert not is_tpd(wf_z).verdict
+        wf_q = wf_z.with_ring(Q)
+        report = is_tpd(wf_q)
+        assert report.verdict and report.ring == Q
+        assert is_local_tpd(wf_q).verdict and not is_local_tpd(wf_z).verdict
+        assert not is_tpd(wf_z).verdict and is_tpd(wf_z).ring == Z
+
+    @pytest.mark.parametrize("check", [tpd_from_stars_check, local_tpd_characterization])
+    def test_cross_checks_fire_on_a_failing_vertex_cap(self, monkeypatch, check):
+        # u34_bergman is a duality space over Z, so every hypothesis of both
+        # theorems holds; breaking only the vertex cap must contradict them.
+        original = duality.cap_star
+
+        def failing_at_vertex(wf, gamma, p):
+            cap = original(wf, gamma, p)
+            if gamma == wf.fan.vertex_id:
+                return replace(cap, domain_rank=cap.domain_rank + 1)
+            return cap
+
+        monkeypatch.setattr(duality, "cap_star", failing_at_vertex)
+        with pytest.raises(TheoremViolation):
+            check(fixtures.load("u34_bergman"))
+
+    def test_cap_blocks_match_the_per_face_product(self):
+        for name in ("cross", "curve_r3", "surface_r4", "surface_r3", "u34_bergman"):
+            fan = fixtures.load(name).fan
+            for alpha in fan.top_faces():
+                for gamma in fan.lower_set(alpha):
+                    for p in range(fan.dim + 1):
+                        expected = oracle_cap_block(fan, alpha, gamma, p)
+                        assert duality._cap_block_matrix(fan, alpha, gamma, p) == expected

@@ -8,7 +8,8 @@ import pytest
 import sympy
 
 from tropfan import fixtures
-from tropfan.duality import _star_chain_status
+from tropfan.complexes import _coords_in_kernel, _star_top_kernel
+from tropfan.duality import fundamental_chain
 from tropfan.exact import (
     MAX_MODULUS,
     GroupPresentation,
@@ -155,9 +156,12 @@ class TestKernel:
     def test_star_chain_coordinates_over_q_are_exact(self):
         for name in ["cross", "curve_r3", "surface_r4", "u34_bergman"]:
             wf = fixtures.load(name).with_ring(Q)
-            for gamma in range(wf.fan.face_count()):
-                _, coords = _star_chain_status(wf, gamma)
-                assert all(isinstance(x, (int, Fraction)) for x in coords or [])
+            fan = wf.fan
+            for gamma in range(fan.face_count()):
+                blocks, kern = _star_top_kernel(fan, fan.multitangent(fan.dim), gamma, Q)
+                chain = fundamental_chain(wf).vector(blocks)
+                [coords] = _coords_in_kernel(kern, [chain], Q)
+                assert all(isinstance(x, (int, Fraction)) for x in coords)
 
 
 class TestSaturate:

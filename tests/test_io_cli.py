@@ -20,6 +20,7 @@ from tropfan.io import (
     serialize_matroid,
     star_export_document,
 )
+from tropfan.matroids import Matroid
 
 from helpers import Q, Z
 
@@ -247,6 +248,15 @@ class TestCli:
         path = self._write(tmp_path, "cross")
         assert run_cli(["homology", "--fan", path, "--ring", f"Fp:{10**25 + 13}"]) == 2
         assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ring", ["Fp:4", "R"])
+    def test_bergman_bad_ring_exits_two(self, tmp_path, capsys, ring):
+        path = tmp_path / "u34.json"
+        path.write_text(serialize_matroid(Matroid.uniform(3, 4)))
+        assert run_cli(["bergman", "--matroid", str(path), "--ring", ring]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "command, doc",

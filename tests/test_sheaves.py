@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from tropfan.duality import local_tpd_characterization
 from tropfan.exact import hnf_basis, kernel_lattice
 from tropfan.intmat import IntMatrix, det_int, hstack_all
 from tropfan.matroids import Matroid, bergman_fan
@@ -156,6 +157,12 @@ def test_fan_and_modules_freed_without_cycle_collector():
         ref = weakref.ref(fan)
         del fan
         assert ref() is None
+        # The same holds for a weighted fan and its memoized certificates.
+        wf = bergman_fan(Matroid.uniform(3, 4))
+        local_tpd_characterization(wf)
+        refs = [weakref.ref(wf), weakref.ref(wf.fan)]
+        del wf
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 
