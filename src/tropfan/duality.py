@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from .complexes import (
     bm_chain_complex,
@@ -25,8 +25,7 @@ from .complexes import (
 )
 from .exact import RingTag
 from .fans import Fan, WeightedFan
-from .intmat import IntMatrix, det_int, solve_int
-from .sheaves import wedge_basis
+from .intmat import IntMatrix, det_int
 
 
 class TheoremViolation(RuntimeError):
@@ -75,19 +74,9 @@ def contract(x, y, p1: int, p2: int, m: int):
 def _contraction_against_top(d: int, p: int) -> IntMatrix:
     """Matrix of (-| e_{0..d-1}) from degree-p dual wedges to degree-(d-p)
     wedges, both in lex coordinates over a rank-d module."""
-    k_subsets = list(combinations(range(d), p))
-    out_subsets = list(combinations(range(d), d - p))
-    out_index = {s: i for i, s in enumerate(out_subsets)}
-    mat = IntMatrix(len(out_subsets), len(k_subsets))
-    top = [0] * len(list(combinations(range(d), d)))
-    top[0] = 1
-    for ki, K in enumerate(k_subsets):
-        unit = [0] * len(k_subsets)
-        unit[ki] = 1
-        col = contract(unit, top, p, d, d)
-        for s, i in out_index.items():
-            mat.data[i][ki] = col[i]
-    return mat
+    n = comb(d, p)
+    units = ([int(i == k) for i in range(n)] for k in range(n))
+    return IntMatrix.from_cols([contract(u, [1], p, d, d) for u in units], rows=comb(d, d - p))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +117,11 @@ def _det_ring(columns, ring: RingTag):
 
 @dataclass
 class FundamentalChain:
-    """Coordinates of the weighted orientation generators in the stored bases
-    of the top-degree modules, one ring element per top face."""
+    """The fundamental chain: one ring element per top face, its weight.
+
+    The stored top-degree basis at a top face is its orientation generator
+    (see `sheaves.build_multitangent`), so each weight is the coordinate of
+    the weighted generator in that basis."""
 
     wf: WeightedFan
     coords: dict  # top face id -> ring element
@@ -144,28 +136,8 @@ class FundamentalChain:
         return vec
 
 
-def _orientation_coordinate(fan: Fan, module, alpha: int) -> int:
-    """Coordinate of the orientation generator of the top wedge module in the
-    stored basis (a unit; +1 with the default basis convention)."""
-    return fan.memo(("eps", alpha), lambda: _orientation_compute(fan, module, alpha))
-
-
-def _orientation_compute(fan: Fan, module, alpha: int) -> int:
-    lam = wedge_basis(fan.faces[alpha].lattice_basis, fan.dim)
-    stored = module.basis[alpha]
-    eps = solve_int(stored, lam)
-    if abs(eps.data[0][0]) != 1:
-        raise AssertionError("stored top basis is not a generator")
-    return eps.data[0][0]
-
-
 def fundamental_chain(wf: WeightedFan) -> FundamentalChain:
-    fan = wf.fan
-    module = fan.multitangent(fan.dim)
-    coords = {}
-    for alpha in fan.top_faces():
-        eps = _orientation_coordinate(fan, module, alpha)
-        coords[alpha] = _rnorm(wf.weight(alpha) * eps, wf.ring)
+    coords = {alpha: _rnorm(wf.weight(alpha), wf.ring) for alpha in wf.fan.top_faces()}
     return FundamentalChain(wf, coords)
 
 
@@ -266,27 +238,15 @@ class CapResult:
 
 def _cap_block_matrix(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
     """Integer matrix of u |-> restriction(u to alpha) -| Lambda_alpha, from
-    dual coordinates at gamma into the stored degree-(d-p) basis at alpha."""
-    return fan.memo(("capblk", alpha, gamma, p), lambda: _cap_block_compute(fan, alpha, gamma, p))
+    dual coordinates at gamma into the stored degree-(d-p) basis at alpha.
+    The stored bases at a top face are its wedge bases, so the contraction
+    is one matrix per p, shared by every alpha."""
 
+    def compute():
+        contr = fan.memo(("contr", p), lambda: _contraction_against_top(fan.dim, p))
+        return contr * fan.multitangent(p).inclusion(alpha, gamma).transpose()
 
-def _cap_block_compute(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
-    rho = fan.multitangent(p).inclusion(alpha, gamma).transpose()
-    return fan.memo(("capchange", alpha, p), lambda: _cap_change_compute(fan, alpha, p)) * rho
-
-
-def _cap_change_compute(fan: Fan, alpha: int, p: int) -> IntMatrix:
-    """Contraction against Lambda_alpha from stored dual degree-p coordinates
-    at alpha to the stored degree-(d-p) basis at alpha."""
-    d = fan.dim
-    basis_alpha = fan.faces[alpha].lattice_basis
-    # Dual coordinates: stored basis -> wedge basis of the face basis.
-    t_p = solve_int(wedge_basis(basis_alpha, p), fan.multitangent(p).basis[alpha])
-    dual_change = solve_int(t_p, IntMatrix.identity(t_p.rows)).transpose()
-    contr = _contraction_against_top(d, p)
-    t_dp = solve_int(wedge_basis(basis_alpha, d - p), fan.multitangent(d - p).basis[alpha])
-    back = solve_int(t_dp, IntMatrix.identity(t_dp.rows))
-    return back * contr * dual_change
+    return fan.memo(("capblk", alpha, gamma, p), compute)
 
 
 def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
@@ -308,9 +268,8 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
         for b in blocks:
             mat = per_alpha[b.face]
             w = wf.weight(b.face)
-            eps = _orientation_coordinate(fan, fan.multitangent(d), b.face)
             for i in range(mat.rows):
-                col.append(_rnorm(w * eps * mat.data[i][j], ring))
+                col.append(_rnorm(w * mat.data[i][j], ring))
         columns.append(col)
     kernel_columns = _coords_in_kernel(kern, columns, ring)
     return CapResult(gamma, p, ring, src_rank, blocks, columns, kern, kernel_columns)
@@ -348,7 +307,6 @@ def cap_chain_general(wf: WeightedFan, p: int, q: int):
     fp = fan.multitangent(p)
     gamma = fan.vertex_id
     src_rank = fp.rank(gamma)
-    top_module = fan.multitangent(d)
     columns = []
     for j in range(src_rank):
         col = [0] * off
@@ -359,11 +317,8 @@ def cap_chain_general(wf: WeightedFan, p: int, q: int):
                 inc = fdp.inclusion(alpha, tau)
                 moved = inc * mat
                 w = wf.weight(alpha)
-                eps = _orientation_coordinate(fan, top_module, alpha)
                 for i in range(moved.rows):
-                    col[b.offset + i] = _rnorm(
-                        col[b.offset + i] + w * eps * moved.data[i][j], wf.ring
-                    )
+                    col[b.offset + i] = _rnorm(col[b.offset + i] + w * moved.data[i][j], wf.ring)
         columns.append(col)
     return blocks, columns
 

@@ -6,6 +6,11 @@ subquotients, and isomorphism testing for maps between presented modules.
 Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
 
+The eliminations (`_row_hnf`, `_rref`, `intmat._gauss_jordan_ff`) reduce
+int rows in place by whole-row operations, so trailing columns ride along:
+`hermite_normal_form` appends an identity block to record its transform, and
+`hnf_basis`, which needs none, appends nothing.
+
 Ranks and solves over Z use the fraction-free elimination of `intmat`. Q runs
 on the same integer engine: the complexes here are complexes of free
 Z-modules, so H(C (x) Q) = H(C) (x) Q, and a map between saturated integer
@@ -147,50 +152,43 @@ class RingTag:
 # Hermite and Smith normal forms
 
 
-def _row_hnf(m: IntMatrix):
-    """Row-style HNF: returns (H, U) with H = U*m, U unimodular.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    zero rows sit at the bottom.
+def _row_hnf(rows, ncols):
+    """In-place row-style HNF of the first `ncols` columns of the int lists
+    `rows`; returns the rank r, and rows[r:] are zero in those columns.
+    Pivots are positive and entries above a pivot are reduced into [0, pivot).
     """
-    rows, cols = m.rows, m.cols
-    a = [row[:] for row in m.data]
-    u = IntMatrix.identity(rows).data
+    n = len(rows)
     r = 0
-    for c in range(cols):
-        if r >= rows:
+    for c in range(ncols):
+        if r >= n:
             break
         # Euclidean reduction in column c on rows r..end.
         while True:
-            nz = [i for i in range(r, rows) if a[i][c] != 0]
+            nz = [i for i in range(r, n) if rows[i][c] != 0]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            i0 = min(nz, key=lambda i: abs(rows[i][c]))
             if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
+                rows[r], rows[i0] = rows[i0], rows[r]
             done = True
-            for i in range(r + 1, rows):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if a[i][c] != 0:
+            for i in range(r + 1, n):
+                if rows[i][c] != 0:
+                    q = rows[i][c] // rows[r][c]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    if rows[i][c] != 0:
                         done = False
             if done:
                 break
-        if a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
-            piv = a[r][c]
+        if rows[r][c] != 0:
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+            piv = rows[r][c]
             for i in range(r):
-                q = a[i][c] // piv
+                q = rows[i][c] // piv
                 if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
             r += 1
-    return IntMatrix(rows, cols, a), IntMatrix(rows, rows, u)
+    return r
 
 
 def hermite_normal_form(m: IntMatrix):
@@ -200,15 +198,19 @@ def hermite_normal_form(m: IntMatrix):
     zero columns are pushed to the right. Pivots are positive and entries to
     the left of a pivot in its row are reduced into [0, pivot).
     """
-    ht, ut = _row_hnf(m.transpose())
-    return ht.transpose(), ut.transpose()
+    n = m.cols
+    rows = [m.column(j) + [int(i == j) for i in range(n)] for j in range(n)]
+    _row_hnf(rows, m.rows)
+    h = IntMatrix(n, m.rows, [row[: m.rows] for row in rows]).transpose()
+    u = IntMatrix(n, n, [row[m.rows :] for row in rows]).transpose()
+    return h, u
 
 
 def hnf_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis (nonzero HNF columns) of the column lattice of m."""
-    h, _ = hermite_normal_form(m)
-    keep = [j for j in range(h.cols) if any(h.data[i][j] != 0 for i in range(h.rows))]
-    return h.submatrix(range(h.rows), keep)
+    rows = m.transpose().data
+    r = _row_hnf(rows, m.rows)
+    return IntMatrix(r, m.rows, rows[:r]).transpose()
 
 
 def smith_normal_form(m: IntMatrix):

@@ -18,6 +18,10 @@ from math import gcd
 from .intmat import IntMatrix, _solve_ff, det_int
 from .exact import RingTag, hnf_basis, rank_over_q, saturate
 
+# The largest face count a fan may have. It admits the Bergman fan of U(5,7)
+# (3,151 faces) and bounds the cost of a document before any face is built.
+MAX_FACES = 5000
+
 
 def _coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
     """Sign of det(X) for the square solution X of basis * X = mat.
@@ -269,6 +273,10 @@ def _incidence_sign(fan_rays, tau: Cone, sigma: Cone):
     return sign
 
 
+def _too_many_faces(count):
+    return ValueError(f"fan has more than {MAX_FACES} faces ({count} or more)")
+
+
 def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     """Build and validate a fan from rays and maximal cones.
 
@@ -276,7 +284,8 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     face set is generated by all ray subsets. Non-simplicial fans must supply
     the full face list (as ray-index sets); the pairwise-intersection axiom is
     not re-verified geometrically, but incidence consistency (boundary squared
-    = 0) always is.
+    = 0) always is, and so is that every face below the top dimension lies in
+    a face one dimension up. A fan may have at most MAX_FACES faces.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     for r in rays:
@@ -304,13 +313,19 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
                 raise ValueError(
                     f"maximal cone {s} is not simplicial; supply explicit_faces"
                 )
-            # All subsets, vertex included.
+            # All subsets, vertex included; the bound is checked first.
+            if 2 ** len(s) > MAX_FACES:
+                raise _too_many_faces(2 ** len(s))
             for k in range(len(s) + 1):
                 for sub in combinations(s, k):
                     face_sets.add(sub)
+            if len(face_sets) > MAX_FACES:
+                raise _too_many_faces(len(face_sets))
     else:
         face_sets = {tuple(sorted(set(int(i) for i in f))) for f in explicit_faces}
         face_sets.add(())
+        if len(face_sets) > MAX_FACES:
+            raise _too_many_faces(len(face_sets))
         for s in maximal_sets:
             if s not in face_sets:
                 raise ValueError(f"maximal cone {s} missing from explicit face list")
@@ -345,16 +360,24 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     if sum(1 for s in face_sets if cones[s].dim == 0) != 1:
         raise ValueError("fan must have a unique vertex")
 
+    # A facet is one dimension down, so each face scans only that dimension.
+    by_dim = {}
+    for t in face_sets:
+        by_dim.setdefault(cones[t].dim, []).append((t, set(t)))
     covering = {}
     for s in face_sets:
         sig = cones[s]
-        if sig.dim == 0:
-            continue
-        for t in face_sets:
-            tau = cones[t]
-            if tau.dim == sig.dim - 1 and set(t) <= set(s):
-                sign = _incidence_sign(rays, tau, sig)
-                covering[(id_of[t], id_of[s])] = sign
+        s_rays = set(s)
+        for t, t_rays in by_dim.get(sig.dim - 1, ()):
+            if t_rays <= s_rays:
+                covering[(id_of[t], id_of[s])] = _incidence_sign(rays, cones[t], sig)
+    covered = {t for t, _ in covering}
+    for fid, cone in enumerate(faces):
+        if cone.dim < d and fid not in covered:
+            raise ValueError(
+                f"face {list(cone.ray_indices)} of dimension {cone.dim} lies in no face of "
+                f"dimension {cone.dim + 1}; list every face of the fan"
+            )
 
     fan = Fan(ambient_rank, rays, faces, covering, d)
     _check_boundary_squared(fan)

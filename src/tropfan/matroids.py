@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .exact import RingTag
-from .fans import Fan, WeightedFan, build_fan
+from .fans import MAX_FACES, Fan, WeightedFan, build_fan
 
 
 class Matroid:
@@ -59,26 +59,30 @@ class Matroid:
         """All flats, sorted by (rank, elements); plus the covering relation.
 
         Returns (flats, covering) with covering pairs (i, j) meaning
-        flats[i] is covered by flats[j] in the lattice of flats.
+        flats[i] is covered by flats[j] in the lattice of flats. The flats
+        covering a flat f are the closures of f + x for x outside f. Raises
+        ValueError beyond MAX_FACES flats (each proper flat is a ray of the
+        Bergman fan).
         """
-        by_rank = {0: {self.closure(())}}
+        by_rank = [{self.closure(())}]
+        covers = {}
+        count = 1
         for r in range(self.rank):
             nxt = set()
             for f in by_rank[r]:
-                for x in range(self.ground_size):
-                    if x not in f:
-                        nxt.add(self.closure(f | {x}))
-            by_rank[r + 1] = {g for g in nxt if self.rank_of(g) == r + 1}
+                covers[f] = {self.closure(f | {x}) for x in range(self.ground_size) if x not in f}
+                nxt |= covers[f]
+            count += len(nxt)
+            if count > MAX_FACES:
+                raise ValueError(f"matroid has more than {MAX_FACES} flats")
+            by_rank.append(nxt)
         flats = []
-        for r in range(self.rank + 1):
-            flats.extend(sorted(by_rank[r], key=sorted))
+        for level in by_rank:
+            flats.extend(sorted(level, key=sorted))
         index = {f: i for i, f in enumerate(flats)}
-        covering = []
-        for f in flats:
-            rf = self.rank_of(f)
-            for g in flats:
-                if rf + 1 == self.rank_of(g) and f < g:
-                    covering.append((index[f], index[g]))
+        covering = [
+            (index[f], j) for f in flats for j in sorted(index[g] for g in covers.get(f, ()))
+        ]
         return flats, covering
 
 
@@ -102,6 +106,8 @@ def bergman_fan(m: Matroid) -> WeightedFan:
     """The Bergman fan of a loopless matroid, with constant weight 1 over Z.
 
     One ray per proper nonempty flat, one cone per chain of proper flats.
+    Raises ValueError beyond MAX_FACES faces, checked while the flats and
+    the chains are enumerated.
     """
     if m.loops():
         raise ValueError("matroid has loops; its Bergman fan is not defined here")
@@ -112,12 +118,17 @@ def bergman_fan(m: Matroid) -> WeightedFan:
     rays = [_ray_vector(f, m.ground_size) for f in proper]
 
     # Maximal chains of proper flats, built by walking the covering relation.
+    up = {}
+    for i, j in covering:
+        if flats[j] in ray_index:
+            up.setdefault(flats[i], []).append(flats[j])
     maximal_chains = []
 
     def extend(chain, last):
-        supersets = [g for g in proper if last < g]
-        tight = [g for g in supersets if m.rank_of(g) == m.rank_of(last) + 1]
+        tight = sorted(up.get(last, ()), key=ray_index.get)
         if not tight:
+            if len(maximal_chains) == MAX_FACES:
+                raise ValueError(f"Bergman fan has more than {MAX_FACES} faces")
             maximal_chains.append(chain)
             return
         for g in tight:

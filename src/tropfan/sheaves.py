@@ -2,7 +2,8 @@
 
 For each face the degree-p module is the subgroup of the p-th exterior power
 of the ambient lattice generated by the wedge powers of the lattices of the
-maximal cofaces. Everything is computed over Z once; rings enter later by
+maximal cofaces; it is built from the modules of the face's covers (see
+`build_multitangent`). Everything is computed over Z once; rings enter later by
 reinterpreting the integer matrices. Coordinates in exterior powers use
 lexicographic subset order throughout, which fixes all contraction signs.
 """
@@ -38,6 +39,9 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
 class ModuleAssignment:
     """Per-face bases and structure matrices for F_p (cosheaf) or its dual.
 
+    At a maximal face the stored basis is exactly `wedge_basis` of the face's
+    oriented lattice basis; at every other face it is the canonical HNF
+    basis of the sum of its covers' modules (see `build_multitangent`).
     Cosheaf structure matrices point downward: inclusion(sigma, tau) writes
     the basis of F_p(sigma) in the basis of F_p(tau) for tau below sigma.
     The dual sheaf's restriction(tau, sigma) is its transpose.
@@ -84,23 +88,25 @@ class ModuleAssignment:
 def build_multitangent(fan, p: int) -> ModuleAssignment:
     """The degree-p multi-tangent cosheaf of the fan.
 
-    The face module is the sum over maximal cofaces of the wedge power of
-    their lattices (summing over maximal cofaces suffices: lattices of
-    intermediate faces are contained in those of the maximal ones). The sum
-    is the literal subgroup sum, not its saturation.
+    A face's module is the sum over its maximal cofaces of the wedge powers
+    of their lattices: the literal subgroup sum, not its saturation. Every
+    maximal coface lies above some cover and the modules are nested, so the
+    sum is also the sum of the covers' modules. Faces are therefore built
+    from the top down: a maximal face keeps the wedge power of its oriented
+    basis (so the top-degree module is generated by the orientation
+    generator, and dual coordinates there are wedge coordinates), and every
+    other face gets the canonical HNF basis of its covers' bases together.
     """
     if p < 0 or p > fan.dim:
         raise ValueError(f"degree {p} out of range for a {fan.dim}-dimensional fan")
     basis = {}
-    for fid in range(fan.face_count()):
-        tops = fan.maximal_cofaces(fid)
-        if tops == [fid]:
-            # Maximal face: keep the wedge power of its oriented basis, so the
-            # top-degree module is generated by the orientation generator.
-            basis[fid] = wedge_basis(fan.faces[fid].lattice_basis, p)
+    # Face ids grow with dimension (see `build_fan`), so covers come first.
+    for fid in reversed(range(fan.face_count())):
+        covers = fan.covers_of(fid)
+        if covers:
+            basis[fid] = hnf_basis(hstack_all([basis[c] for c in covers]))
         else:
-            mats = [wedge_basis(fan.faces[a].lattice_basis, p) for a in tops]
-            basis[fid] = hnf_basis(hstack_all(mats))
+            basis[fid] = wedge_basis(fan.faces[fid].lattice_basis, p)
     return ModuleAssignment(fan, p, "cosheaf", basis)
 
 

@@ -335,21 +335,144 @@ def oracle_solve_field(a_cols, b_cols, ring: RingTag):
     return [[aug[r][ca + j] for r in range(ca)] for j in range(cb)]
 
 
-def oracle_cap_block(fan, alpha: int, gamma: int, p: int) -> IntMatrix:
-    """The cap block as it was built before its dual-coordinate change was
-    shared across the faces gamma below alpha: every factor per call."""
+# ---------------------------------------------------------------------------
+# The HNF with an explicit transform, the all-maximal-cofaces module loop and
+# the cap-layer solves that the ride-along HNF, the cover recursion and the
+# top-face wedge convention replaced, kept as oracles for them.
+
+
+def oracle_row_hnf(m: IntMatrix):
+    """Row-style HNF: returns (H, U) with H = U*m, U unimodular.
+
+    Pivots are positive, entries above a pivot are reduced into [0, pivot),
+    zero rows sit at the bottom.
+    """
+    rows, cols = m.rows, m.cols
+    a = [row[:] for row in m.data]
+    u = IntMatrix.identity(rows).data
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        # Euclidean reduction in column c on rows r..end.
+        while True:
+            nz = [i for i in range(r, rows) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            if i0 != r:
+                a[r], a[i0] = a[i0], a[r]
+                u[r], u[i0] = u[i0], u[r]
+            done = True
+            for i in range(r + 1, rows):
+                if a[i][c] != 0:
+                    q = a[i][c] // a[r][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    if a[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if a[r][c] != 0:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+                u[r] = [-x for x in u[r]]
+            piv = a[r][c]
+            for i in range(r):
+                q = a[i][c] // piv
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+            r += 1
+    return IntMatrix(rows, cols, a), IntMatrix(rows, rows, u)
+
+
+def oracle_hermite_normal_form(m: IntMatrix):
+    """Column-style HNF (H, U) with H = m*U, from the row HNF of m^T."""
+    ht, ut = oracle_row_hnf(m.transpose())
+    return ht.transpose(), ut.transpose()
+
+
+def oracle_hnf_basis(m: IntMatrix) -> IntMatrix:
+    h, _ = oracle_hermite_normal_form(m)
+    keep = [j for j in range(h.cols) if any(h.data[i][j] != 0 for i in range(h.rows))]
+    return h.submatrix(range(h.rows), keep)
+
+
+def oracle_multitangent_bases(fan, p: int):
+    """Face id -> basis of F_p: the HNF of the wedge powers of all maximal
+    cofaces of the face, a maximal face keeping its own wedge power."""
+    from tropfan.intmat import hstack_all
+    from tropfan.sheaves import wedge_basis
+
+    basis = {}
+    for fid in range(fan.face_count()):
+        tops = fan.maximal_cofaces(fid)
+        if tops == [fid]:
+            basis[fid] = wedge_basis(fan.faces[fid].lattice_basis, p)
+        else:
+            mats = [wedge_basis(fan.faces[a].lattice_basis, p) for a in tops]
+            basis[fid] = oracle_hnf_basis(hstack_all(mats))
+    return basis
+
+
+def oracle_orientation_coordinate(fan, alpha: int) -> int:
+    """Coordinate of the orientation generator of the top wedge module at
+    alpha in the stored basis, by an integer solve."""
+    from tropfan.intmat import solve_int
+    from tropfan.sheaves import wedge_basis
+
+    lam = wedge_basis(fan.faces[alpha].lattice_basis, fan.dim)
+    eps = solve_int(fan.multitangent(fan.dim).basis[alpha], lam)
+    if abs(eps.data[0][0]) != 1:
+        raise AssertionError("stored top basis is not a generator")
+    return eps.data[0][0]
+
+
+def oracle_cap_change(fan, alpha: int, p: int) -> IntMatrix:
+    """Contraction against Lambda_alpha from stored dual degree-p coordinates
+    at alpha to the stored degree-(d-p) basis at alpha, by four solves."""
     from tropfan.duality import _contraction_against_top
     from tropfan.intmat import solve_int
     from tropfan.sheaves import wedge_basis
 
     d = fan.dim
-    fp = fan.multitangent(p)
-    fdp = fan.multitangent(d - p)
     basis_alpha = fan.faces[alpha].lattice_basis
-    rho = fp.inclusion(alpha, gamma).transpose()
-    t_p = solve_int(wedge_basis(basis_alpha, p), fp.basis[alpha])
+    # Dual coordinates: stored basis -> wedge basis of the face basis.
+    t_p = solve_int(wedge_basis(basis_alpha, p), fan.multitangent(p).basis[alpha])
     dual_change = solve_int(t_p, IntMatrix.identity(t_p.rows)).transpose()
     contr = _contraction_against_top(d, p)
-    t_dp = solve_int(wedge_basis(basis_alpha, d - p), fdp.basis[alpha])
+    t_dp = solve_int(wedge_basis(basis_alpha, d - p), fan.multitangent(d - p).basis[alpha])
     back = solve_int(t_dp, IntMatrix.identity(t_dp.rows))
-    return back * contr * dual_change * rho
+    return back * contr * dual_change
+
+
+def oracle_cap_block(fan, alpha: int, gamma: int, p: int) -> IntMatrix:
+    """The cap block as it was built before its dual-coordinate change was
+    shared across the faces gamma below alpha: every factor per call."""
+    rho = fan.multitangent(p).inclusion(alpha, gamma).transpose()
+    return oracle_cap_change(fan, alpha, p) * rho
+
+
+def square_cone_fan():
+    """The cone over a square: one non-simplicial maximal cone, with its
+    faces listed explicitly."""
+    rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    faces = [[], [0], [1], [2], [3], [0, 1], [1, 2], [2, 3], [0, 3], [0, 1, 2, 3]]
+    return build_fan(3, rays, [[0, 1, 2, 3]], explicit_faces=faces)
+
+
+def convention_fans():
+    """The fans the module and cap conventions are checked on: the five
+    fixtures, the Bergman fans of U(3,5), M(K4) and U(4,5), and the cone
+    over a square."""
+    from tropfan import fixtures
+
+    fans = [(name, fixtures.load(name).fan) for name in fixtures.NAMES]
+    fans += [
+        ("U(3,5)", bergman_fan(Matroid.uniform(3, 5)).fan),
+        ("M(K4)", bergman_fan(graphic_k4()).fan),
+        ("U(4,5)", bergman_fan(Matroid.uniform(4, 5)).fan),
+        ("square_cone", square_cone_fan()),
+    ]
+    return fans

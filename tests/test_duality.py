@@ -34,6 +34,7 @@ from tropfan.exact import GroupPresentation, is_isomorphism, kernel_lattice, ran
 from tropfan.fans import build_fan
 from tropfan.intmat import IntMatrix, solve_int
 from tropfan.matroids import Matroid, bergman_fan
+from tropfan.sheaves import wedge_basis
 
 from helpers import (
     F2,
@@ -41,10 +42,13 @@ from helpers import (
     Q,
     Z,
     contraction_oracle,
+    convention_fans,
     cross_fan,
     curve_fan,
     line_fan,
     oracle_cap_block,
+    oracle_cap_change,
+    oracle_orientation_coordinate,
     random_balanced_curve,
     random_surface,
     weighted,
@@ -564,3 +568,28 @@ class TestSharedCertificate:
                     for p in range(fan.dim + 1):
                         expected = oracle_cap_block(fan, alpha, gamma, p)
                         assert duality._cap_block_matrix(fan, alpha, gamma, p) == expected
+
+
+class TestTopFaceConvention:
+    """A top face stores its wedge bases, so its orientation coordinate is +1
+    and the cap layer's change of coordinates there is the bare contraction.
+    The certificates use both facts without solving for them."""
+
+    def test_top_bases_are_wedge_bases_with_unit_orientation(self):
+        for name, fan in convention_fans():
+            for alpha in fan.top_faces():
+                basis = fan.faces[alpha].lattice_basis
+                for p in range(fan.dim + 1):
+                    assert fan.multitangent(p).basis[alpha] == wedge_basis(basis, p), (name, alpha, p)
+                assert oracle_orientation_coordinate(fan, alpha) == 1, (name, alpha)
+
+    def test_cap_change_is_the_bare_contraction(self):
+        for name, fan in convention_fans():
+            for p in range(fan.dim + 1):
+                contr = duality._contraction_against_top(fan.dim, p)
+                for alpha in fan.top_faces():
+                    assert oracle_cap_change(fan, alpha, p) == contr, (name, alpha, p)
+
+    def test_fundamental_chain_is_the_weights(self):
+        wf = fixtures.load("surface_r3")
+        assert fundamental_chain(wf).coords == wf.weights

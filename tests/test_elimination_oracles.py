@@ -1,9 +1,11 @@
 """The fraction-free and row-sparse elimination kernels against oracles.
 
 The oracles in helpers.py are the Fraction Gauss-Jordan elimination that the
-kernels replaced; sympy gives an independent cross-check over Q. Solutions
-of full-column-rank systems and reduced row echelon forms are unique, so the
-kernels must agree with the oracles exactly, errors included.
+kernels replaced, and the HNF that carried its transform as a separate
+matrix; sympy gives an independent cross-check over Q. Solutions of
+full-column-rank systems, reduced row echelon forms and Hermite forms with
+their transforms are unique for the pivot rules used, so the kernels must
+agree with the oracles exactly, errors included.
 """
 
 from fractions import Fraction
@@ -17,7 +19,15 @@ import tropfan.exact as exact
 from tropfan import fixtures
 from tropfan.complexes import bm_chain_complex
 from tropfan.duality import cap_star
-from tropfan.exact import GroupPresentation, homology_of_pair, kernel_field, rank_field, rank_over_q
+from tropfan.exact import (
+    GroupPresentation,
+    hermite_normal_form,
+    hnf_basis,
+    homology_of_pair,
+    kernel_field,
+    rank_field,
+    rank_over_q,
+)
 from tropfan.fans import WeightedFan
 from tropfan.intmat import IntMatrix, solve_exact, solve_int
 from tropfan.io import parse_fan
@@ -28,6 +38,8 @@ from helpers import (
     Q,
     Z,
     graphic_k4,
+    oracle_hermite_normal_form,
+    oracle_hnf_basis,
     oracle_kernel_field,
     oracle_rank_field,
     oracle_rref_p,
@@ -97,6 +109,25 @@ def test_field_kernel_and_rank_match_oracle(m, ring):
 def test_rank_over_q_matches_oracle_and_sympy(m):
     assert rank_over_q(m) == oracle_rank_field(m, Q)
     assert rank_over_q(m) == sympy.Matrix(m.rows, m.cols, [x for row in m.data for x in row]).rank()
+
+
+@st.composite
+def lattice_generators(draw):
+    """Integer matrices of any rank: dense ones, and products through an
+    inner dimension of at most three, which repeat their lattice."""
+    if draw(st.booleans()):
+        return draw(int_matrices(entries=st.integers(-6, 6)))
+    inner = draw(st.integers(0, 3))
+    a = draw(int_matrices(cols=inner))
+    return a * draw(int_matrices(rows=inner))
+
+
+@PROPERTY
+@given(lattice_generators())
+def test_hermite_normal_form_matches_the_explicit_transform_oracle(m):
+    h, u = hermite_normal_form(m)
+    assert (h, u) == oracle_hermite_normal_form(m)
+    assert hnf_basis(m) == oracle_hnf_basis(m)
 
 
 @PROPERTY

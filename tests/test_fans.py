@@ -177,3 +177,27 @@ def test_bergman_fans_are_balanced_with_unit_weight():
         wf = bergman_fan(m)
         assert all(w == 1 for w in wf.weights.values())
         assert is_balanced(wf)
+
+
+def test_face_bound_is_checked_before_the_subsets_are_enumerated(monkeypatch):
+    import tropfan.fans as fans
+
+    monkeypatch.setattr(fans, "MAX_FACES", 8)
+    unit = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    assert build_fan(6, unit, [[0, 1, 2]]).face_count() == 8
+    with pytest.raises(ValueError, match="more than 8 faces \\(16 or more\\)"):
+        build_fan(6, unit, [[0, 1, 2, 3]])
+    # Two cones of eight faces each share only the vertex: 15 faces.
+    with pytest.raises(ValueError, match="more than 8 faces"):
+        build_fan(6, unit, [[0, 1, 2], [3, 4, 5]])
+    faces = [[], [0], [1], [2], [3], [0, 1], [1, 2], [2, 3], [0, 3], [0, 1, 2, 3]]
+    with pytest.raises(ValueError, match="more than 8 faces \\(10 or more\\)"):
+        build_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [[0, 1, 2, 3]], explicit_faces=faces)
+
+
+def test_explicit_faces_must_include_every_intermediate_face():
+    # The cone over a square without its edges: the rays lie in no 2-face.
+    rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    faces = [[], [0], [1], [2], [3], [0, 1, 2, 3]]
+    with pytest.raises(ValueError, match=r"face \[0\] of dimension 1 lies in no face of dimension 2"):
+        build_fan(3, rays, [[0, 1, 2, 3]], explicit_faces=faces)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +325,61 @@ class TestCliUnbalancedAndQ:
         entries = json.loads(capsys.readouterr().out)["results"]["entries"]
         witnesses = [e["witness"] for e in entries if not e["ok"]]
         assert witnesses == ["class [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, -1, 0]", "rank mismatch 3 vs 5"]
+
+
+FAN_COMMANDS = [
+    ["balance"],
+    ["homology"],
+    ["cohomology"],
+    ["tpd"],
+    ["local-tpd"],
+    ["euler", "--ring", "Q"],
+    ["dim1"],
+    ["star-export", "--face", "0"],
+    ["star-row"],
+]
+
+
+class TestCliRejectsUnboundedOrIncompleteInput:
+    @pytest.mark.parametrize("command", FAN_COMMANDS, ids=lambda c: c[0])
+    def test_face_list_without_intermediate_faces_exits_two(self, tmp_path, capsys, command):
+        # The complete fan of the projective plane, listing its 2-cones only.
+        doc = {
+            "ambient_rank": 2,
+            "rays": [[1, 0], [0, 1], [-1, -1]],
+            "maximal_cones": [[0, 1], [1, 2], [0, 2]],
+            "faces": [[0, 1], [1, 2], [0, 2]],
+            "weights": [1, 1, 1],
+        }
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli([command[0], "--fan", str(path)] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: face [] of dimension 0 lies in no face of dimension 1; list every face of the fan\n"
+        )
+        assert not captured.out
+
+    @pytest.mark.parametrize(
+        "command, flag, doc",
+        [
+            # One simplicial cone on 18 unit rays: 2^18 faces.
+            ("balance", "--fan", {"ambient_rank": 18, "rays": [[int(i == j) for j in range(18)] for i in range(18)],
+                                  "maximal_cones": [list(range(18))], "weights": [1]}),
+            # The free matroid on 12 elements: 2^12 flats and 12! maximal chains.
+            ("bergman", "--matroid", {"ground_size": 12, "bases": [list(range(12))]}),
+        ],
+        ids=["cone-18-rays", "free-matroid-12"],
+    )
+    def test_oversized_documents_exit_two_quickly(self, tmp_path, capsys, command, flag, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run_cli([command, flag, str(path)]) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "more than 5000" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
 
 _NONZERO = st.integers(-6, 6).filter(bool)

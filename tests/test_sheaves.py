@@ -12,7 +12,7 @@ from tropfan.intmat import IntMatrix, det_int, hstack_all
 from tropfan.matroids import Matroid, bergman_fan
 from tropfan.sheaves import build_multicotangent, build_multitangent, wedge_basis
 
-from helpers import cross_fan, curve_fan
+from helpers import convention_fans, cross_fan, curve_fan, oracle_multitangent_bases
 
 
 def test_wedge_basis_degree_zero():
@@ -172,3 +172,25 @@ def test_dual_outlives_the_fan():
     sheaf = cosheaf.dual()
     assert sheaf.variance == "sheaf" and cosheaf.variance == "cosheaf"
     assert sheaf.rank(0) == cosheaf.rank(0) == 2
+
+
+def test_cover_recursion_matches_the_all_maximal_cofaces_sum():
+    # HNF is canonical, so building each face from its covers gives the same
+    # bytes as the HNF of all maximal cofaces' wedge powers.
+    for name, fan in convention_fans():
+        for p in range(fan.dim + 1):
+            assert build_multitangent(fan, p).basis == oracle_multitangent_bases(fan, p), (name, p)
+
+
+def test_wedge_basis_runs_only_at_faces_without_cover(monkeypatch):
+    import tropfan.sheaves as sheaves
+
+    seen = []
+    real = sheaves.wedge_basis
+    monkeypatch.setattr(sheaves, "wedge_basis", lambda basis, p: seen.append(basis) or real(basis, p))
+    fan = bergman_fan(Matroid.uniform(3, 5)).fan
+    for p in range(fan.dim + 1):
+        build_multitangent(fan, p)
+    # Once per (top face, p), and never for a face below the top.
+    top_bases = [id(fan.faces[a].lattice_basis) for a in fan.top_faces()]
+    assert sorted(id(b) for b in seen) == sorted(top_bases * (fan.dim + 1))
