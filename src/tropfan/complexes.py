@@ -278,11 +278,24 @@ def _star_top_kernel(fan: Fan, module, gamma: int, ring: RingTag):
 
 
 def star_homology_table(fan: Fan, gamma: int, p: int, ring: RingTag) -> HomologyTable:
-    """Memoized homology of the star complex (weights play no role here)."""
-    return fan.memo(
-        ("star_hom", gamma, p, str(ring)),
-        lambda: bm_chain_complex(fan.star_view(gamma), p, ring).homology(),
-    )
+    """Memoized homology of the star complex (weights play no role here).
+
+    The top degree has no incoming boundary, so its homology is the kernel
+    of the star's top boundary: it is read from `_star_top_kernel`, which
+    the cap products share, and only the lower degrees are eliminated.
+    """
+
+    def compute():
+        cx = bm_chain_complex(fan.star_view(gamma), p, ring)
+        entries = {
+            q: HomologyEntry(*homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), ring))
+            for q in cx.degrees[:-1]
+        }
+        _, kern = _star_top_kernel(fan, fan.multitangent(p), gamma, ring)
+        entries[fan.dim] = HomologyEntry(GroupPresentation(kern.cols), kern.columns())
+        return HomologyTable(entries, cx.direction)
+
+    return fan.memo(("star_hom", gamma, p, str(ring)), compute)
 
 
 def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:

@@ -17,10 +17,22 @@ Z-modules, so H(C (x) Q) = H(C) (x) Q, and a map between saturated integer
 bases is bijective over Q exactly when its integer determinant is nonzero.
 Only F_p uses `_rref`, which is row-sparse: each pivot row updates the other
 rows in its nonzero columns only, with the reduction mod p inline.
+
+A homology group ker(d_out)/im(d_in) on Z^n is decided by ranks and
+invariant factors alone. ker(d_out) is saturated in Z^n, so the torsion of
+the group is the torsion of Z^n/im(d_in): over Z the group is
+Z^(n - rank d_out - rank d_in) plus the invariant factors of d_in above 1,
+over Q the free part of that, and over F_p its dimension is
+n - rank_p d_out - rank_p d_in. The ranks and factors come from eliminating
+unit pivots on sparse rows (`_unit_pivot_reduce`, after Kaczynski, Mrozek
+and Slusarek, 1998), with the dense SNF or rank on what is left.
+Representatives come from a kernel basis and the SNF of the image in it,
+and only a nontrivial group needs them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -487,6 +499,95 @@ class GroupPresentation:
         return " + ".join(parts) if parts else "0"
 
 
+def _sparse_rows(m: IntMatrix, p=None):
+    """The nonzero entries of m as one {column: value} dict per row, reduced
+    mod p when p is given."""
+    if p is None:
+        return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    return [{j: x % p for j, x in enumerate(row) if x % p} for row in m.data]
+
+
+def _composes(out_rows, in_rows, p=None) -> bool:
+    """Whether the product of two matrices, given by their sparse rows,
+    vanishes (mod p when p is given)."""
+    for a in out_rows:
+        acc = {}
+        for k, x in a.items():
+            for j, y in in_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        if any(v % p if p else v for v in acc.values()):
+            return False
+    return True
+
+
+def _unit_pivot_reduce(rows, p=None):
+    """Eliminate unit pivots from the sparse rows `rows`, in place.
+
+    Over Z (p None) a pivot is an entry +-1; over F_p it is any nonzero
+    entry. A pivot at (i, j) removes row i and column j and subtracts a
+    rank-one update from the rest, so each pivot adds one to the rank and,
+    over Z, one invariant factor 1. Pivots are taken in rough Markowitz
+    order: from a shortest row that has one, in its sparsest column.
+    Returns the pivot count and the residual, the nonzero rows and columns
+    that are left, as an IntMatrix. Over F_p the residual is always empty.
+    """
+    cols = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        length, i = heapq.heappop(heap)
+        prow = rows[i]
+        if length != len(prow) or not prow:
+            continue  # stale entry; the row was pushed again when it changed
+        units = [j for j, x in prow.items() if p or x in (1, -1)]
+        if not units:
+            continue  # parked until an update changes the row
+        j = min(units, key=lambda c: len(cols[c]))
+        inv = pow(prow[j], -1, p) if p else prow[j]
+        rows[i] = {}
+        for c in prow:
+            cols[c].discard(i)
+        for r in cols.pop(j):
+            row = rows[r]
+            f = row.pop(j) * inv
+            for c, x in prow.items():
+                if c == j:
+                    continue
+                old = row.get(c)
+                y = (0 if old is None else old) - f * x
+                if p:
+                    y %= p
+                if y:
+                    row[c] = y
+                    if old is None:
+                        cols[c].add(r)
+                elif old is not None:
+                    del row[c]
+                    cols[c].discard(r)
+            heapq.heappush(heap, (len(row), r))
+        pivots += 1
+    left = [row for row in rows if row]
+    used = sorted({j for row in left for j in row})
+    return pivots, IntMatrix._adopt(len(left), len(used), [[row.get(j, 0) for j in used] for row in left])
+
+
+def _rank_and_torsion(rows, p=None, torsion=False):
+    """Rank of the matrix with sparse rows `rows` (consumed) over F_p, or
+    over Q when p is None; with `torsion`, also its invariant factors above
+    1 over Z. The dense eliminations run on the residual only."""
+    rank, residual = _unit_pivot_reduce(rows, p)
+    if residual.rows == 0:
+        return rank, ()
+    if torsion:
+        facs = invariant_factors(residual)
+        return rank + len(facs), tuple(f for f in facs if f > 1)
+    return rank + rank_over_q(residual), ()
+
+
 def homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: RingTag):
     """ker(boundary_out)/im(boundary_in) over the ring.
 
@@ -495,22 +596,45 @@ def homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: Ring
     reps is a list of coordinate columns in the middle group: torsion
     generators first (matching invariant factor order), then free generators.
 
-    Z and Q share the integer path. The matrices define free Z-modules, so
-    the Q group is the free part of the Z group and its representatives are
-    the integer free generators. Only F_p eliminates mod p.
+    The group comes from two ranks and one set of invariant factors. With n
+    the rank of the middle group, ker(boundary_out) is saturated in Z^n, so
+    the torsion of the homology is the torsion of Z^n/im(boundary_in):
+    over Z the free rank is n - rank(out) - rank(in) and the torsion is the
+    invariant factors of boundary_in above 1; over Q it is the free rank
+    alone; over F_p it is n - rank_p(out) - rank_p(in). The ranks and
+    factors come from unit-pivot reduction (`_unit_pivot_reduce`), with the
+    dense SNF or rank on the residual only. A trivial group is returned
+    without representatives; a nontrivial one gets its representatives from
+    `_homology_with_representatives`, whose group must agree.
     """
     n = boundary_out.cols
     if boundary_in.rows != n:
         raise ValueError("boundary shapes do not match")
-    comp = boundary_out * boundary_in
-    comp_zero = (
-        all(x % ring.p == 0 for row in comp.data for x in row)
-        if ring.kind == "Fp"
-        else comp.is_zero()
-    )
-    if not comp_zero:
+    p = ring.p if ring.kind == "Fp" else None
+    out_rows = _sparse_rows(boundary_out, p)
+    in_rows = _sparse_rows(boundary_in, p)
+    if not _composes(out_rows, in_rows, p):
         raise ValueError("not a complex: boundary_out * boundary_in != 0")
+    rank_out, _ = _rank_and_torsion(out_rows, p)
+    rank_in, torsion = _rank_and_torsion(in_rows, p, torsion=ring.kind == "Z")
+    group = GroupPresentation(n - rank_out - rank_in, torsion)
+    if group.is_trivial:
+        return group, []
+    slow, reps = _homology_with_representatives(boundary_in, boundary_out, ring)
+    if slow != group:
+        raise RuntimeError(f"homology engines disagree: {group} by ranks, {slow} by kernels")
+    return group, reps
 
+
+def _homology_with_representatives(boundary_in: IntMatrix, boundary_out: IntMatrix,
+                                   ring: RingTag):
+    """`homology_of_pair` by a kernel basis and the SNF of the image in it,
+    with representatives; the pair is known to compose to zero.
+
+    Z and Q share the integer path. The matrices define free Z-modules, so
+    the Q group is the free part of the Z group and its representatives are
+    the integer free generators. Only F_p eliminates mod p.
+    """
     if ring.kind == "Fp":
         kb = kernel_field(boundary_out, ring)
         if not kb:

@@ -32,6 +32,15 @@ class IntMatrix:
             self.data = [[int(x) for x in row] for row in data]
 
     @classmethod
+    def _adopt(cls, rows, cols, data):
+        """Wrap int rows this package has just built, of the given shape,
+        without the shape check and the entry conversion of the public
+        constructor. The rows are taken over, not copied."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
+    @classmethod
     def from_rows(cls, rows_data):
         rows = len(rows_data)
         cols = len(rows_data[0]) if rows else 0
@@ -85,14 +94,13 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def submatrix(self, row_idx, col_idx):
-        return IntMatrix(
+        return IntMatrix._adopt(
             len(row_idx), len(col_idx), [[self.data[i][j] for j in col_idx] for i in row_idx]
         )
 
     def transpose(self):
-        return IntMatrix(
-            self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        data = [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
+        return IntMatrix._adopt(self.cols, self.rows, data)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -136,7 +144,7 @@ class IntMatrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(
+        return IntMatrix._adopt(
             self.rows,
             self.cols + other.cols,
             [self.data[i] + other.data[i] for i in range(self.rows)],

@@ -35,10 +35,11 @@ class Matroid:
         return cls(ground_size, [set(c) for c in combinations(range(ground_size), rank)])
 
     def _check_exchange(self):
+        bases = set(self.bases)
         for b1 in self.bases:
             for b2 in self.bases:
                 for x in b1 - b2:
-                    if not any((b1 - {x}) | {y} in set(self.bases) for y in b2 - b1):
+                    if not any((b1 - {x}) | {y} in bases for y in b2 - b1):
                         raise ValueError("bases violate the exchange property")
 
     def rank_of(self, subset):

@@ -7,9 +7,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from tropfan.exact import RingTag
+from tropfan.exact import (
+    GroupPresentation,
+    RingTag,
+    _rref,
+    field_matrix,
+    kernel_field,
+    kernel_lattice,
+    smith_normal_form,
+    solve_field,
+)
 from tropfan.fans import WeightedFan, build_fan
-from tropfan.intmat import IntMatrix
+from tropfan.intmat import IntMatrix, solve_int
 from tropfan.matroids import Matroid, bergman_fan
 
 Z = RingTag.Z()
@@ -476,3 +485,66 @@ def convention_fans():
         ("square_cone", square_cone_fan()),
     ]
     return fans
+
+
+def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: RingTag):
+    """ker(boundary_out)/im(boundary_in) over the ring, as `homology_of_pair`
+    computed it before unit-pivot reduction decided the group: a kernel
+    basis, the image solved into it and its SNF, for every pair.
+
+    boundary_out maps the middle group outward, boundary_in maps into it;
+    their composition must vanish. Returns (GroupPresentation, reps) where
+    reps is a list of coordinate columns in the middle group: torsion
+    generators first (matching invariant factor order), then free generators.
+
+    Z and Q share the integer path. The matrices define free Z-modules, so
+    the Q group is the free part of the Z group and its representatives are
+    the integer free generators. Only F_p eliminates mod p.
+    """
+    n = boundary_out.cols
+    if boundary_in.rows != n:
+        raise ValueError("boundary shapes do not match")
+    comp = boundary_out * boundary_in
+    comp_zero = (
+        all(x % ring.p == 0 for row in comp.data for x in row)
+        if ring.kind == "Fp"
+        else comp.is_zero()
+    )
+    if not comp_zero:
+        raise ValueError("not a complex: boundary_out * boundary_in != 0")
+
+    if ring.kind == "Fp":
+        kb = kernel_field(boundary_out, ring)
+        if not kb:
+            return GroupPresentation(0), []
+        if boundary_in.cols == 0:
+            return GroupPresentation(len(kb)), kb
+        img_cols = field_matrix(boundary_in.transpose(), ring)
+        x = solve_field(kb, img_cols, ring)  # columns in kernel coordinates
+        k = len(kb)
+        pivot_rows = _rref(x, k, ring.p)
+        reps = []
+        for i in range(k):
+            if i not in pivot_rows:
+                reps.append(kb[i])
+        return GroupPresentation(len(reps)), reps
+
+    # Z and Q: SNF of the image expressed in the kernel lattice basis.
+    kmat = kernel_lattice(boundary_out)
+    k = kmat.cols
+    if k == 0:
+        return GroupPresentation(0), []
+    if boundary_in.cols == 0:
+        return GroupPresentation(k), kmat.columns()
+    x = solve_int(kmat, boundary_in)  # integral since im lies in the kernel lattice
+    s, u, _ = smith_normal_form(x)
+    u_inv = solve_int(u, IntMatrix.identity(u.rows))
+    adapted = kmat * u_inv
+    diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
+    rank_x = sum(1 for d in diag if d != 0)
+    torsion = tuple(d for d in diag if d > 1)
+    reps = [adapted.column(i) for i in range(rank_x) if diag[i] > 1]
+    reps += [adapted.column(i) for i in range(rank_x, k)]
+    if ring.kind == "Q":
+        return GroupPresentation(k - rank_x), reps[len(torsion):]
+    return GroupPresentation(k - rank_x, torsion), reps
