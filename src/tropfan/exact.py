@@ -36,7 +36,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import IntMatrix, _gauss_jordan_ff, det_int, solve_int
+from .intmat import IntMatrix, _echelon_pivots, _gauss_jordan_ff, _substitute, det_int, solve_int
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +348,11 @@ def saturate(b: IntMatrix) -> IntMatrix:
 
 def lattice_contains(basis: IntMatrix, vector) -> bool:
     """Membership of an integer vector in the column lattice of `basis`."""
-    if basis.cols == 0:
-        return all(x == 0 for x in vector)
-    h = hnf_basis(basis) if not _is_column_echelon(basis) else basis
-    v = list(vector)
-    for j in range(h.cols):
-        r = next(i for i in range(h.rows) if h.data[i][j] != 0)
-        if v[r] % h.data[r][j] != 0:
-            return False
-        q = v[r] // h.data[r][j]
-        if q:
-            v = [x - q * h.data[i][j] for i, x in enumerate(v)]
-    return all(x == 0 for x in v)
-
-
-def _is_column_echelon(m: IntMatrix) -> bool:
-    last = -1
-    for j in range(m.cols):
-        nz = [i for i in range(m.rows) if m.data[i][j] != 0]
-        if not nz or nz[0] <= last:
-            return False
-        last = nz[0]
-    return True
+    pivots = _echelon_pivots(basis)
+    if pivots is None:
+        basis = hnf_basis(basis)
+        pivots = _echelon_pivots(basis)
+    return _substitute(basis, pivots, [[x] for x in vector]) is not None
 
 
 def _pivots_over_q(m: IntMatrix):

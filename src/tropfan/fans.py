@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .intmat import IntMatrix, _solve_ff, det_int
+from .intmat import IntMatrix, det_int, solve_int
 from .exact import RingTag, hnf_basis, rank_over_q, saturate
 
 # The largest face count a fan may have. It admits the Bergman fan of U(5,7)
@@ -26,11 +26,11 @@ MAX_FACES = 5000
 def _coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
     """Sign of det(X) for the square solution X of basis * X = mat.
 
-    Row k of X is an integer row over a positive pivot, so X and the matrix
-    of numerators have determinants of the same sign.
+    The columns of mat lie in the saturated lattice that basis spans, so X
+    is integral; basis is a canonical HNF up to the sign of its last column,
+    so the solve is forward substitution.
     """
-    rows = [nums for _, nums in _solve_ff(basis, mat)]
-    det = det_int(IntMatrix(len(rows), mat.cols, rows))
+    det = det_int(solve_int(basis, mat))
     return (det > 0) - (det < 0)
 
 
@@ -230,9 +230,16 @@ class WeightedFan:
 
 
 def _face_basis(rays_matrix: IntMatrix) -> IntMatrix:
-    if rays_matrix.cols == 0:
-        return rays_matrix
-    return saturate(hnf_basis(rays_matrix))
+    """Canonical HNF basis of the saturated lattice of the face's span.
+
+    When every pivot of the rays' HNF is 1, one maximal minor is 1, so that
+    lattice is already saturated and its HNF is the answer; this is the case
+    on every unimodular face, Bergman fans included.
+    """
+    h = hnf_basis(rays_matrix)
+    if all(next(x for x in col if x) == 1 for col in h.columns()):
+        return h
+    return saturate(h)
 
 
 def _orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
@@ -241,16 +248,18 @@ def _orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
     k = basis.cols
     if k == 0:
         return basis
-    # First k independent ray columns, in index order.
-    chosen = []
-    for j in range(ray_matrix.cols):
-        cand = chosen + [j]
-        sub = ray_matrix.submatrix(range(ray_matrix.rows), cand)
-        if rank_over_q(sub) == len(cand):
-            chosen = cand
-        if len(chosen) == k:
-            break
-    sub = ray_matrix.submatrix(range(ray_matrix.rows), chosen)
+    if ray_matrix.cols == k:
+        sub = ray_matrix  # k rays spanning rank k are independent
+    else:
+        # First k independent ray columns, in index order.
+        chosen = []
+        for j in range(ray_matrix.cols):
+            cand = chosen + [j]
+            if rank_over_q(ray_matrix.submatrix(range(ray_matrix.rows), cand)) == len(cand):
+                chosen = cand
+            if len(chosen) == k:
+                break
+        sub = ray_matrix.submatrix(range(ray_matrix.rows), chosen)
     if _coords_det_sign(basis, sub) < 0:
         flipped = basis.copy()
         for i in range(basis.rows):
@@ -343,12 +352,18 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     faces = [cones[s] for s in ordered]
     id_of = {s: i for i, s in enumerate(ordered)}
 
-    # Pure dimensionality of maximal faces.
-    maximal = [
-        s
-        for s in face_sets
-        if not any(s != t and set(s) <= set(t) for t in face_sets)
-    ]
+    # Pure dimensionality of maximal faces. A face lies in a larger one only
+    # if that face also has the face's rarest ray, so only those are tested.
+    through = {}
+    for t in face_sets:
+        for r in t:
+            through.setdefault(r, []).append(t)
+    maximal = []
+    for s in face_sets:
+        larger = through[min(s, key=lambda r: len(through[r]))] if s else face_sets
+        s_rays = set(s)
+        if not any(len(t) > len(s) and s_rays <= set(t) for t in larger):
+            maximal.append(s)
     dims = {cones[s].dim for s in maximal}
     if len(dims) != 1:
         raise ValueError(f"fan is not pure dimensional: maximal dims {sorted(dims)}")

@@ -7,7 +7,9 @@ in the package; nothing here is numeric-approximate.
 Linear systems over Z and Q are solved by one fraction-free Gauss-Jordan
 elimination on Python ints (`_gauss_jordan_ff`): a rational solution is read
 off as integer numerators over a pivot, so no Fraction arithmetic runs inside
-the elimination.
+the elimination. An integral solve against a matrix in column echelon form,
+such as a canonical HNF basis, is forward substitution instead
+(`_substitute`).
 """
 
 from __future__ import annotations
@@ -266,8 +268,51 @@ def solve_exact(a: IntMatrix, b: IntMatrix):
     return [[Fraction(x, piv) for x in nums] for piv, nums in _solve_ff(a, b)]
 
 
+def _echelon_pivots(a: IntMatrix):
+    """The pivot row (first nonzero row) of each column of a, or None unless
+    these strictly increase, that is unless a is in column echelon form."""
+    pivots = []
+    for j in range(a.cols):
+        for i, row in enumerate(a.data):
+            if row[j]:
+                break
+        else:
+            return None
+        if pivots and i <= pivots[-1]:
+            return None
+        pivots.append(i)
+    return pivots
+
+
+def _substitute(a: IntMatrix, pivots, rows):
+    """The rows of the integer X with a*X = B, by forward substitution
+    against a in column echelon form with the given pivot rows, where `rows`
+    lists the rows of B; None when a column of B is not an integral
+    combination of the columns of a. The list `rows` is overwritten (the row
+    lists in it are not): what is left in it, remainders at pivot rows
+    included, must be zero."""
+    x = []
+    for r, col in zip(pivots, zip(*a.data)):
+        q = [y // col[r] for y in rows[r]]
+        for i, f in enumerate(col[r:], r):
+            if f:
+                rows[i] = [y - f * z for y, z in zip(rows[i], q)]
+        x.append(q)
+    return None if any(map(any, rows)) else x
+
+
 def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Solve a*X = b insisting on an integral solution."""
+    """Solve a*X = b insisting on an integral solution.
+
+    Against a in column echelon form this is forward substitution; any
+    failure there, or any other a, goes through the fraction-free
+    elimination, which raises the ValueError that describes it.
+    """
+    pivots = _echelon_pivots(a) if a.rows == b.rows else None
+    if pivots is not None:
+        x = _substitute(a, pivots, list(b.data))
+        if x is not None:
+            return IntMatrix._adopt(a.cols, b.cols, x)
     out = []
     for piv, nums in _solve_ff(a, b):
         if piv != 1:

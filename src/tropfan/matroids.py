@@ -47,11 +47,19 @@ class Matroid:
         return max(len(s & b) for b in self.bases)
 
     def closure(self, subset):
-        s = set(subset)
-        r = self.rank_of(s)
-        return frozenset(
-            x for x in range(self.ground_size) if x in s or self.rank_of(s | {x}) == r
-        )
+        """s together with every x for which s + x has the rank of s.
+
+        I = s & b for a basis b meeting s most is a basis of s, and x outside
+        s raises the rank exactly when I + x is independent, that is when some
+        basis contains I + x. So two passes over the bases decide every x.
+        """
+        s = frozenset(subset)
+        indep = max((s & b for b in self.bases), key=len)
+        free = set()
+        for b in self.bases:
+            if indep <= b:
+                free |= b
+        return frozenset(x for x in range(self.ground_size) if x in s or x not in free)
 
     def loops(self):
         return self.closure(())

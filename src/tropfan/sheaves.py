@@ -15,25 +15,44 @@ import weakref
 from itertools import combinations
 
 from .exact import hnf_basis
-from .intmat import IntMatrix, det_int, hstack_all, solve_int
+from .intmat import IntMatrix, hstack_all, solve_int
 
 
 def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
     """Wedge powers of the columns of `basis`, in lex wedge-monomial coords.
 
     Column J (a p-subset of basis columns, lex order) holds the p x p minors
-    of those columns against all p-subsets of rows (lex order).
+    of those columns against all p-subsets of rows (lex order). The size-s
+    minors come from the size-(s-1) ones by Laplace expansion along the last
+    column, so each costs s products instead of a determinant.
     """
     n, r = basis.rows, basis.cols
     if p < 0 or p > r:
         raise ValueError(f"wedge degree {p} out of range for rank {r}")
-    row_subsets = list(combinations(range(n), p))
-    col_subsets = list(combinations(range(r), p))
-    out = IntMatrix(len(row_subsets), len(col_subsets))
-    for j, cols in enumerate(col_subsets):
-        for i, rows in enumerate(row_subsets):
-            out.data[i][j] = det_int(basis.submatrix(rows, cols))
-    return out
+    a = basis.data
+
+    def row_sets(s):
+        return [(rows, sum(1 << i for i in rows)) for rows in combinations(range(n), s)]
+
+    # minors[J][mask]: the minor on columns J and the rows in the bit mask.
+    minors = {(): {0: 1}}
+    for s in range(1, p + 1):
+        smaller, minors = minors, {}
+        subsets = row_sets(s)
+        for cols in combinations(range(r), s):
+            below, c = smaller[cols[:-1]], cols[-1]
+            col = minors[cols] = {}
+            for rows, mask in subsets:
+                total = 0
+                sign = 1 if s % 2 else -1  # (-1)^(s-1-t) for row position t = 0
+                for i in rows:
+                    if a[i][c]:
+                        total += sign * a[i][c] * below[mask ^ (1 << i)]
+                    sign = -sign
+                col[mask] = total
+    cols = list(combinations(range(r), p))
+    data = [[minors[J][mask] for J in cols] for _, mask in row_sets(p)]
+    return IntMatrix._adopt(len(data), len(cols), data)
 
 
 class ModuleAssignment:

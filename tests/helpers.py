@@ -548,3 +548,94 @@ def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, rin
     if ring.kind == "Q":
         return GroupPresentation(k - rank_x), reps[len(torsion):]
     return GroupPresentation(k - rank_x, torsion), reps
+
+
+# ---------------------------------------------------------------------------
+# Fan and module construction as it was before solves against echelon bases
+# became forward substitution, kept verbatim as oracles for it.
+
+
+def oracle_solve_int_elimination(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Solve a*X = b insisting on an integral solution, always through the
+    fraction-free elimination."""
+    from tropfan.intmat import _solve_ff
+
+    out = []
+    for piv, nums in _solve_ff(a, b):
+        if piv != 1:
+            quotients = [divmod(x, piv) for x in nums]
+            if any(rem for _, rem in quotients):
+                raise ValueError("solution is not integral")
+            nums = [q for q, _ in quotients]
+        out.append(nums)
+    return IntMatrix(a.cols, b.cols, out)
+
+
+def oracle_coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
+    """Sign of det(X) for the square solution X of basis * X = mat, from the
+    numerators of the fraction-free solution."""
+    from tropfan.intmat import _solve_ff, det_int
+
+    rows = [nums for _, nums in _solve_ff(basis, mat)]
+    det = det_int(IntMatrix(len(rows), mat.cols, rows))
+    return (det > 0) - (det < 0)
+
+
+def oracle_face_basis(rays_matrix: IntMatrix) -> IntMatrix:
+    """Saturation of the HNF of the rays, for every face."""
+    from tropfan.exact import hnf_basis, saturate
+
+    if rays_matrix.cols == 0:
+        return rays_matrix
+    return saturate(hnf_basis(rays_matrix))
+
+
+def oracle_orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
+    """Flip the last basis column if needed so the basis orientation matches
+    the orientation of the first independent rays in index order, found by
+    prefix rank tests."""
+    from tropfan.exact import rank_over_q
+
+    k = basis.cols
+    if k == 0:
+        return basis
+    chosen = []
+    for j in range(ray_matrix.cols):
+        cand = chosen + [j]
+        sub = ray_matrix.submatrix(range(ray_matrix.rows), cand)
+        if rank_over_q(sub) == len(cand):
+            chosen = cand
+        if len(chosen) == k:
+            break
+    sub = ray_matrix.submatrix(range(ray_matrix.rows), chosen)
+    if oracle_coords_det_sign(basis, sub) < 0:
+        flipped = basis.copy()
+        for i in range(basis.rows):
+            flipped.data[i][k - 1] = -flipped.data[i][k - 1]
+        return flipped
+    return basis
+
+
+def oracle_wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
+    """Wedge powers of the columns of `basis`, one determinant per minor."""
+    from tropfan.intmat import det_int
+
+    n, r = basis.rows, basis.cols
+    if p < 0 or p > r:
+        raise ValueError(f"wedge degree {p} out of range for rank {r}")
+    row_subsets = list(combinations(range(n), p))
+    col_subsets = list(combinations(range(r), p))
+    out = IntMatrix(len(row_subsets), len(col_subsets))
+    for j, cols in enumerate(col_subsets):
+        for i, rows in enumerate(row_subsets):
+            out.data[i][j] = det_int(basis.submatrix(rows, cols))
+    return out
+
+
+def oracle_closure(m: Matroid, subset):
+    """Closure of a subset by one rank computation per ground element."""
+    s = set(subset)
+    r = m.rank_of(s)
+    return frozenset(
+        x for x in range(m.ground_size) if x in s or m.rank_of(s | {x}) == r
+    )
