@@ -50,7 +50,6 @@ from .exact import (
     RingTag,
     hermite_normal_form,
     homology_of_pair,
-    is_isomorphism,
     kernel_lattice,
     saturate,
     smith_normal_form,

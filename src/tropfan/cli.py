@@ -29,7 +29,6 @@ from .duality import (
 from .exact import RingTag
 from .io import InputError
 from .matroids import bergman_fan
-from .pool import default_threads
 
 
 def _build_parser():
@@ -49,7 +48,6 @@ def _build_parser():
             p.add_argument("--face", type=int, required=name == "star-export", help="face id")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("-o", "--output", help="write the report or document to a file")
-        p.add_argument("--threads", type=int, default=None, help="work pool size")
         return p
 
     add("balance", "check the balancing condition")
@@ -111,25 +109,20 @@ def _degrees(args, d):
     return [args.p]
 
 
-def _group_str(g):
-    return str(g)
-
-
 def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    threads = args.threads if args.threads is not None else default_threads()
     try:
-        return _dispatch(args, threads)
+        return _dispatch(args)
     except (InputError, OSError, UnbalancedFanError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args, threads) -> int:
+def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "bergman":
@@ -173,8 +166,8 @@ def _dispatch(args, threads) -> int:
         for p in _degrees(args, d):
             table = bm_chain_complex(fan, p, wf.ring).homology()
             for q in sorted(table.entries, reverse=True):
-                rows.append(f"H_{q}^BM(F_{p}) = {_group_str(table.group(q))}")
-                results[f"H_{q}^BM(F_{p})"] = _group_str(table.group(q))
+                rows.append(f"H_{q}^BM(F_{p}) = {table.group(q)}")
+                results[f"H_{q}^BM(F_{p})"] = str(table.group(q))
         _emit(_report(args, results) if args.json else "\n".join(rows), args)
         return 0
 
@@ -185,11 +178,11 @@ def _dispatch(args, threads) -> int:
             plain = plain_cochain_complex(fan, p, wf.ring).homology()
             compact = compact_cochain_complex(fan, p, wf.ring).homology()
             for q in sorted(plain.entries):
-                rows.append(f"H^{q}(F^{p}) = {_group_str(plain.group(q))}")
-                results[f"H^{q}(F^{p})"] = _group_str(plain.group(q))
+                rows.append(f"H^{q}(F^{p}) = {plain.group(q)}")
+                results[f"H^{q}(F^{p})"] = str(plain.group(q))
             for q in sorted(compact.entries):
-                rows.append(f"H_c^{q}(F^{p}) = {_group_str(compact.group(q))}")
-                results[f"H_c^{q}(F^{p})"] = _group_str(compact.group(q))
+                rows.append(f"H_c^{q}(F^{p}) = {compact.group(q)}")
+                results[f"H_c^{q}(F^{p})"] = str(compact.group(q))
         _emit(_report(args, results) if args.json else "\n".join(rows), args)
         return 0
 
@@ -213,7 +206,7 @@ def _dispatch(args, threads) -> int:
         return 0 if report.verdict else 1
 
     if cmd == "local-tpd":
-        report = is_local_tpd(wf, threads=threads)
+        report = is_local_tpd(wf)
         if args.json:
             _emit(_report(args, report.to_dict()), args)
         else:

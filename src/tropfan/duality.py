@@ -241,12 +241,8 @@ def _cap_block_matrix(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
     dual coordinates at gamma into the stored degree-(d-p) basis at alpha.
     The stored bases at a top face are its wedge bases, so the contraction
     is one matrix per p, shared by every alpha."""
-
-    def compute():
-        contr = fan.memo(("contr", p), lambda: _contraction_against_top(fan.dim, p))
-        return contr * fan.multitangent(p).inclusion(alpha, gamma).transpose()
-
-    return fan.memo(("capblk", alpha, gamma, p), compute)
+    contr = fan.memo(("contr", p), lambda: _contraction_against_top(fan.dim, p))
+    return contr * fan.multitangent(p).inclusion(alpha, gamma).transpose()
 
 
 def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
@@ -431,14 +427,14 @@ class LocalTpdReport:
         }
 
 
-def is_local_tpd(wf: WeightedFan, threads: int = 1) -> LocalTpdReport:
+def is_local_tpd(wf: WeightedFan) -> LocalTpdReport:
     """Duality at every face star, the fan itself included."""
     _require_balanced(wf)
     fan = wf.fan
     face_ids = list(range(fan.face_count()))
     from .pool import run_jobs
 
-    reports = run_jobs([lambda g=g: _star_report(wf, g) for g in face_ids], threads)
+    reports = run_jobs([lambda g=g: _star_report(wf, g) for g in face_ids])
     per_face = dict(zip(face_ids, reports))
     verdict = all(r.verdict for r in per_face.values())
     return LocalTpdReport(wf.ring, verdict, per_face)
@@ -555,7 +551,7 @@ class LocalTpdCharacterization:
         }
 
 
-def local_tpd_characterization(wf: WeightedFan, threads: int = 1) -> LocalTpdCharacterization:
+def local_tpd_characterization(wf: WeightedFan) -> LocalTpdCharacterization:
     """Local duality iff all stars have top-concentrated homology and every
     codimension-one star is a duality space. Both sides are computed and must
     agree; over Z the unit-weight reformulation is checked as well."""
@@ -566,7 +562,7 @@ def local_tpd_characterization(wf: WeightedFan, threads: int = 1) -> LocalTpdCha
     codim1 = fan.faces_of_dim(d - 1)
     codim1_ok = all(_star_report(wf, b).verdict for b in codim1)
     characterization = vanishing and codim1_ok
-    direct = is_local_tpd(wf, threads=threads).verdict
+    direct = is_local_tpd(wf).verdict
     if characterization != direct:
         raise TheoremViolation("local duality characterization disagrees with direct check")
     report = LocalTpdCharacterization(

@@ -1,8 +1,8 @@
 """Exact linear algebra over Z, Q and prime fields.
 
 Column-style Hermite and Smith normal forms with unimodular transforms,
-saturated kernel lattices, finitely generated abelian group presentations of
-subquotients, and isomorphism testing for maps between presented modules.
+saturated kernel lattices, and finitely generated abelian group
+presentations of subquotients.
 Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
 
@@ -33,10 +33,11 @@ and only a nontrivial group needs them.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import IntMatrix, _echelon_pivots, _gauss_jordan_ff, _substitute, det_int, solve_int
+from .intmat import IntMatrix, _echelon_pivots, _gauss_jordan_ff, _substitute, solve_int
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +72,10 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+# Exponents and decimal points would let a short string denote a huge number.
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,11 @@ class RingTag:
         return self.kind in ("Q", "Fp")
 
     def coerce(self, value):
-        """Coerce a JSON-ish scalar (int, Fraction, or 'a/b' string) into the ring."""
+        """Coerce a JSON-ish scalar (int, Fraction, or an integer or 'a/b'
+        string of decimal digits) into the ring."""
         if isinstance(value, str):
+            if not _RATIONAL_STRING.fullmatch(value):
+                raise ValueError("expected an integer or 'a/b' string of decimal digits")
             value = Fraction(value)
         if isinstance(value, Fraction):
             if self.kind == "Q":
@@ -445,7 +453,7 @@ def solve_field(a_cols, b_cols, ring: RingTag):
 
 
 # ---------------------------------------------------------------------------
-# Subquotient presentations and isomorphism testing
+# Subquotient presentations and homology
 
 
 @dataclass(frozen=True)
@@ -469,10 +477,6 @@ class GroupPresentation:
     @property
     def is_trivial(self):
         return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def generator_count(self):
-        return self.free_rank + len(self.invariant_factors)
 
     def __str__(self):
         parts = []
@@ -653,49 +657,3 @@ def _homology_with_representatives(boundary_in: IntMatrix, boundary_out: IntMatr
     if ring.kind == "Q":
         return GroupPresentation(k - rank_x), reps[len(torsion):]
     return GroupPresentation(k - rank_x, torsion), reps
-
-
-def _relation_matrix(pres: GroupPresentation) -> IntMatrix:
-    g = pres.generator_count
-    t = len(pres.invariant_factors)
-    rel = IntMatrix(g, t)
-    for j, d in enumerate(pres.invariant_factors):
-        rel.data[pres.free_rank + j][j] = d
-    return rel
-
-
-def is_isomorphism(map_matrix: IntMatrix, dom: GroupPresentation, cod: GroupPresentation,
-                   ring: RingTag) -> bool:
-    """Whether the map (columns = images of dom generators, written in cod
-    generators) is bijective over the ring."""
-    if map_matrix.cols != dom.generator_count or map_matrix.rows != cod.generator_count:
-        raise ValueError("map shape does not match the stored presentations")
-    if ring.is_field:
-        if dom.invariant_factors or cod.invariant_factors:
-            raise ValueError("field presentations cannot carry torsion")
-        if dom.free_rank != cod.free_rank:
-            return False
-        return not ring.is_zero(det_int(map_matrix))
-
-    if not dom.invariant_factors and not cod.invariant_factors:
-        # Free modules: bijective iff square with unit determinant.
-        if dom.free_rank != cod.free_rank:
-            return False
-        return abs(det_int(map_matrix)) == 1
-
-    q_rel = _relation_matrix(cod)
-    p_rel = _relation_matrix(dom)
-    # Surjectivity: cokernel of [F | Q] must vanish.
-    stacked = map_matrix.hstack(q_rel)
-    facs = invariant_factors(stacked)
-    if len(facs) != cod.generator_count or any(f != 1 for f in facs):
-        return False
-    # Injectivity: preimages of im(Q) must already lie in im(P).
-    lifted = map_matrix.hstack(-q_rel)
-    ker = kernel_lattice(lifted)
-    p_basis = hnf_basis(p_rel) if p_rel.cols else p_rel
-    for j in range(ker.cols):
-        x_part = [ker.data[i][j] for i in range(dom.generator_count)]
-        if not lattice_contains(p_basis, x_part):
-            return False
-    return True

@@ -53,7 +53,7 @@ class Cone:
 class Fan:
     """Immutable pure-dimensional pointed fan with oriented incidence data."""
 
-    def __init__(self, ambient_rank, rays, faces, covering_signs, dim):
+    def __init__(self, ambient_rank, rays, faces, covering_signs, dim, explicit_faces=None):
         self.ambient_rank = ambient_rank
         self.rays = [tuple(r) for r in rays]
         self.faces = faces  # list[Cone], id = position
@@ -72,7 +72,7 @@ class Fan:
         self._upper_cache = {}
         self._multitangent_cache = {}
         self._memo = {}
-        self.explicit_faces = None  # raw face list when built non-simplicially
+        self.explicit_faces = explicit_faces  # the face list given to build_fan, if any
 
     # -- basic queries ------------------------------------------------------
 
@@ -156,7 +156,7 @@ class Fan:
         return self._multitangent_cache[p]
 
     def memo(self, key, compute):
-        """Weight-independent per-fan memo (homology, kernels, cap blocks)."""
+        """Weight-independent per-fan memo (homology, kernels, contractions)."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -394,7 +394,9 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
                 f"dimension {cone.dim + 1}; list every face of the fan"
             )
 
-    fan = Fan(ambient_rank, rays, faces, covering, d)
+    if explicit_faces is not None:
+        explicit_faces = [sorted({int(i) for i in f}) for f in explicit_faces]
+    fan = Fan(ambient_rank, rays, faces, covering, d, explicit_faces)
     _check_boundary_squared(fan)
     return fan
 

@@ -37,6 +37,10 @@ def _decode(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer beyond the interpreter's digit limit
+        raise InputError(f"malformed JSON: {e}") from None
+    except RecursionError:
+        raise InputError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     return doc
@@ -101,7 +105,6 @@ def parse_fan(path_or_text) -> WeightedFan:
         fan = build_fan(ambient, rays, cones, explicit_faces=explicit)
     except ValueError as e:
         raise InputError(str(e)) from None
-    fan.explicit_faces = explicit
     weight_map = {}
     for c, w in zip(cones, weights):
         fid = fan.face_by_rays(c)
@@ -131,9 +134,8 @@ def serialize_fan(wf: WeightedFan) -> str:
         "weights": weights,
         "ring": str(wf.ring),
     }
-    explicit = getattr(fan, "explicit_faces", None)
-    if explicit is not None:
-        doc["faces"] = sorted(sorted(set(f)) for f in explicit)
+    if fan.explicit_faces is not None:
+        doc["faces"] = sorted(fan.explicit_faces)
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 

@@ -61,9 +61,6 @@ class Matroid:
                 free |= b
         return frozenset(x for x in range(self.ground_size) if x in s or x not in free)
 
-    def loops(self):
-        return self.closure(())
-
     def flats(self):
         """All flats, sorted by (rank, elements); plus the covering relation.
 
@@ -118,7 +115,9 @@ def bergman_fan(m: Matroid) -> WeightedFan:
     Raises ValueError beyond MAX_FACES faces, checked while the flats and
     the chains are enumerated.
     """
-    if m.loops():
+    # An element in no basis is a loop. Testing that first keeps a huge ground
+    # set from reaching the closures, which scan the whole ground set.
+    if len(frozenset().union(*m.bases)) < m.ground_size:
         raise ValueError("matroid has loops; its Bergman fan is not defined here")
     flats, covering = m.flats()
     proper = [f for f in flats if 0 < len(f) < m.ground_size]

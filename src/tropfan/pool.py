@@ -1,27 +1,11 @@
-"""A minimal work pool for per-face and per-degree certificate jobs.
+"""The in-order job loop behind `duality.is_local_tpd`.
 
-All certificate computations are pure functions of immutable inputs, so they
-can run on threads; results are always assembled in submission order, keeping
-reports deterministic regardless of completion order.
+Star reports are computed one face at a time, in face order; threads gave no
+speedup on this pure-Python work. The loop stays a named function because the
+benchmark's per-layer trace (`bench/layers.WRAPPED`) times it by this name.
 """
 
-from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def default_threads() -> int:
-    value = os.environ.get("TROPFAN_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def run_jobs(jobs, threads: int = 1):
+def run_jobs(jobs):
     """Run the zero-argument callables, returning results in order."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+    return [job() for job in jobs]

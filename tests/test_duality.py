@@ -1,7 +1,6 @@
 """Contraction, balancing, cap products, and the duality certificates."""
 
 import random
-import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -30,9 +29,9 @@ from tropfan.duality import (
     stars_balanced_check,
     tpd_from_stars_check,
 )
-from tropfan.exact import GroupPresentation, is_isomorphism, kernel_lattice, rank_field
+from tropfan.exact import kernel_lattice, rank_field
 from tropfan.fans import build_fan
-from tropfan.intmat import IntMatrix, solve_int
+from tropfan.intmat import IntMatrix, det_int, solve_int
 from tropfan.matroids import Matroid, bergman_fan
 from tropfan.sheaves import wedge_basis
 
@@ -177,12 +176,7 @@ class TestCaps:
         images = m * a_inv_t
         assert images.columns() == [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
         assert cap.is_isomorphism()
-        assert is_isomorphism(
-            IntMatrix.from_cols(cap.kernel_columns, rows=3),
-            GroupPresentation(3),
-            GroupPresentation(3),
-            Z,
-        )
+        assert abs(det_int(IntMatrix.from_cols(cap.kernel_columns, rows=3))) == 1
 
     def test_cap_degree_zero_is_fundamental_chain(self):
         for name in ("cross", "curve_r3", "u34_bergman"):
@@ -506,23 +500,6 @@ class TestSharedCertificate:
         wf = fixtures.load("u34_bergman")
         _all_four_checks(wf)
         assert sorted(calls) == [(g,) for g in range(wf.fan.face_count())]
-
-    def test_pooled_local_tpd_shares_the_memo(self, monkeypatch):
-        # Pool workers fill one weighted fan's memo: with thread switches
-        # forced often, every face is still computed once and the report
-        # matches the serial one.
-        serial = is_local_tpd(fixtures.load("u34_bergman")).to_dict()
-        calls = _count_calls(monkeypatch, "_star_tpd_report")
-        wf = fixtures.load("u34_bergman")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = is_local_tpd(wf, threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pooled.to_dict() == serial
-        assert sorted(calls) == [(g,) for g in range(wf.fan.face_count())]
-        assert all(rep is duality._star_report(wf, g) for g, rep in pooled.per_face.items())
 
     @pytest.mark.parametrize("global_first", [True, False])
     def test_global_report_does_not_touch_the_shared_one(self, global_first):

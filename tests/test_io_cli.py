@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 import time
 
@@ -21,9 +22,10 @@ from tropfan.io import (
     serialize_matroid,
     star_export_document,
 )
-from tropfan.matroids import Matroid
+from tropfan.fans import WeightedFan, build_fan
+from tropfan.matroids import Matroid, bergman_fan
 
-from helpers import Q, Z
+from helpers import Q, Z, graphic_k4, square_cone_fan, weighted
 
 ALL_FIXTURES = ["cross", "curve_r3", "surface_r4", "surface_r3", "u34_bergman"]
 
@@ -163,6 +165,47 @@ class TestParse:
             assert sign in (1, -1) and t == 0 and s in (1, 2, 3)
 
 
+def _relabelled(wf, rng):
+    """The weighted fan under a signed permutation of the coordinates and a
+    reordering of its rays, maximal cones and listed faces, built through
+    `build_fan` as a library caller would."""
+    fan = wf.fan
+    n = fan.ambient_rank
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    order = rng.sample(range(len(fan.rays)), len(fan.rays))
+    new_index = {old: new for new, old in enumerate(order)}
+    rays = [[signs[i] * fan.rays[old][perm[i]] for i in range(n)] for old in order]
+
+    def relabel(ray_indices):
+        return rng.sample([new_index[r] for r in ray_indices], len(ray_indices))
+
+    tops = rng.sample(fan.top_faces(), len(fan.top_faces()))
+    cones = [relabel(fan.faces[f].ray_indices) for f in tops]
+    faces = None
+    if fan.explicit_faces is not None:
+        faces = rng.sample([relabel(f) for f in fan.explicit_faces], len(fan.explicit_faces))
+    new = build_fan(n, rays, cones, explicit_faces=faces)
+    return WeightedFan(new, wf.ring, {new.face_by_rays(c): wf.weight(f) for c, f in zip(cones, tops)})
+
+
+ROUND_TRIP_FANS = {name: (lambda name=name: fixtures.load(name)) for name in fixtures.NAMES}
+ROUND_TRIP_FANS.update({
+    "U(3,5)": lambda: bergman_fan(Matroid.uniform(3, 5)),
+    "M(K4)": lambda: bergman_fan(graphic_k4()),
+    "square_cone": lambda: weighted(square_cone_fan(), [1]),
+})
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_FANS))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_serialize_parse_serialize_is_byte_stable(name, seed):
+    wf = _relabelled(ROUND_TRIP_FANS[name](), random.Random(seed))
+    text = serialize_fan(wf)
+    assert serialize_fan(parse_fan(text)) == text
+
+
 class TestCli:
     def _write(self, tmp_path, name):
         path = tmp_path / f"{name}.json"
@@ -280,11 +323,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
 
-    def test_threads_flag_and_env(self, tmp_path, monkeypatch):
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         path = self._write(tmp_path, "u34_bergman")
-        assert run_cli(["local-tpd", "--fan", path, "--threads", "2"]) == 0
-        monkeypatch.setenv("TROPFAN_THREADS", "2")
-        assert run_cli(["local-tpd", "--fan", path]) == 0
+        assert run_cli(["local-tpd", "--fan", path, "--threads", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --threads 2" in captured.err and not captured.out
 
     def test_outputs_are_verdict_stable(self, tmp_path, capsys):
         # Same input twice: identical report bytes (determinism).
@@ -380,6 +423,40 @@ class TestCliRejectsUnboundedOrIncompleteInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "more than 5000" in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            # Three elements carry the bases; the others are loops. 10^7 keeps
+            # code that scans the ground set over the time bound without
+            # exhausting memory; test_matroids runs 10^9 with closures disabled.
+            ("bergman", "--matroid", '{"ground_size": 10000000, "bases": [[0, 1], [0, 2], [1, 2]]}'),
+            # JSON integers beyond the interpreter's 4,300-digit limit.
+            ("tpd", "--fan", '{"ambient_rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]], '
+                             '"weights": [1, 1%s]}' % ("0" * 4400)),
+            ("bergman", "--matroid", '{"ground_size": 1%s, "bases": [[0]]}' % ("0" * 4400)),
+            # Q weights outside the integer and "a/b" forms: a 12-byte string
+            # denoting a ten-million-digit number, and one that parses but
+            # cannot be serialized back.
+            ("tpd", "--fan", '{"ambient_rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]], '
+                             '"weights": ["1e10000000", 1], "ring": "Q"}'),
+            ("star-export --face 1", "--fan", '{"ambient_rank": 1, "rays": [[1], [-1]], '
+                                              '"maximal_cones": [[0], [1]], "weights": ["1e5000", "1e5000"], '
+                                              '"ring": "Q"}'),
+            ("tpd", "--fan", "[" * 100000 + "]" * 100000),
+        ],
+        ids=["huge-ground-set", "long-int-weight", "long-int-ground-size", "exponent-weight",
+             "exponent-weight-export", "deep-nesting"],
+    )
+    def test_hostile_documents_exit_two_quickly(self, tmp_path, capsys, command, flag, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert run_cli(command.split() + [flag, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not captured.out
 
 
 _NONZERO = st.integers(-6, 6).filter(bool)

@@ -67,3 +67,13 @@ def test_bergman_rejects_loops():
     # Element 1 never appears in a basis: it is a loop.
     with pytest.raises(ValueError, match="loops"):
         bergman_fan(Matroid(2, [[0]]))
+
+
+def test_bergman_rejects_loops_before_any_closure(monkeypatch):
+    # A closure scans the whole ground set, here 10^9 elements.
+    def no_closure(self, subset):
+        raise AssertionError("closure computed before the loop check")
+
+    monkeypatch.setattr(Matroid, "closure", no_closure)
+    with pytest.raises(ValueError, match="loops"):
+        bergman_fan(Matroid(10**9, [[0, 1], [0, 2], [1, 2]]))
