@@ -13,13 +13,13 @@ import json
 import sys
 
 from . import io as tfio
-from .complexes import bm_chain_complex, compact_cochain_complex, plain_cochain_complex, star_row_complex
+from .complexes import bm_chain_complex, compact_cochain_complex, plain_cochain_complex
+from .complexes import star_homology_table, star_row_complex
 from .duality import (
     FAILS,
     HOLDS,
     UnbalancedFanError,
     balancing_failure,
-    cap_q0,
     classify_dim1,
     euler_criterion,
     is_local_tpd,
@@ -195,11 +195,12 @@ def _dispatch(args) -> int:
                 f"(p={e.p}, q={e.q}) {e.kind}: {'ok' if e.ok else 'FAIL ' + e.witness}"
                 for e in report.entries
             ]
+            v = fan.vertex_id
             for p in range(d + 1):
-                cap = cap_q0(wf, p)
+                top = star_homology_table(fan, v, d - p, wf.ring).group(d)
                 rows.append(
-                    f"cap p={p}: H^0(F^{p}) rank {cap.domain_rank}"
-                    f" -> H_{d}^BM(F_{d - p}) rank {cap.kernel_basis.cols}"
+                    f"cap p={p}: H^0(F^{p}) rank {fan.multitangent(p).rank(v)}"
+                    f" -> H_{d}^BM(F_{d - p}) rank {top.free_rank}"
                 )
             rows.append(f"verdict: {'TPD holds' if report.verdict else 'TPD fails'}")
             _emit("\n".join(rows), args)

@@ -238,12 +238,13 @@ def euler_characteristic(complex_: ChainComplex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The star-homology row (top Borel-Moore homology of all stars)
+# Star complexes and the star-homology row (top homology of all stars)
 
 
 def star_top_boundary(fan: Fan, module, gamma: int):
     """The top boundary of the star of a face: the map out of the direct sum
-    of the module over top faces above gamma, restricted to the star.
+    of the module over top faces above gamma, restricted to the star. Only
+    the balancing checks use it; everything else reads `_star`.
 
     Returns (blocks, matrix) where blocks lay out the domain.
     """
@@ -257,32 +258,16 @@ def star_top_boundary(fan: Fan, module, gamma: int):
     return blocks_top, mat
 
 
-def _star_top_kernel(fan: Fan, module, gamma: int, ring: RingTag):
-    """Kernel basis of the star's top boundary, with its domain layout.
+def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
+    """The star of gamma in degree p, computed once per fan and ring: its
+    homology table, the block layout of its top degree, and the kernel basis
+    of its top differential (weights play no role here).
 
-    Over Z and Q the integer kernel lattice is used (a saturated integer
-    basis is also a Q-basis); over F_p the mod-p kernel.
-    """
-
-    def compute():
-        blocks_top, mat = star_top_boundary(fan, module, gamma)
-        if ring.kind == "Fp":
-            cols = kernel_field(mat, ring)
-            kern = IntMatrix.from_cols(cols, rows=mat.cols) if cols else IntMatrix(mat.cols, 0)
-        else:
-            kern = kernel_lattice(mat)
-        return blocks_top, kern
-
-    key = ("star_kernel", gamma, module.p, "Z" if ring.kind == "Q" else str(ring))
-    return fan.memo(key, compute)
-
-
-def star_homology_table(fan: Fan, gamma: int, p: int, ring: RingTag) -> HomologyTable:
-    """Memoized homology of the star complex (weights play no role here).
-
-    The top degree has no incoming boundary, so its homology is the kernel
-    of the star's top boundary: it is read from `_star_top_kernel`, which
-    the cap products share, and only the lower degrees are eliminated.
+    The star complex is assembled once. The degrees below the top go through
+    `homology_of_pair`. The top degree has no incoming boundary, so its
+    homology is the kernel of the top differential: the integer kernel
+    lattice over Z and Q (a saturated integer basis is also a Q-basis), the
+    mod-p kernel over F_p. The cap products and the star row read that basis.
     """
 
     def compute():
@@ -291,11 +276,23 @@ def star_homology_table(fan: Fan, gamma: int, p: int, ring: RingTag) -> Homology
             q: HomologyEntry(*homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), ring))
             for q in cx.degrees[:-1]
         }
-        _, kern = _star_top_kernel(fan, fan.multitangent(p), gamma, ring)
+        top = cx.boundary_out(fan.dim)
+        if ring.kind == "Fp":
+            cols = kernel_field(top, ring)
+            kern = IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
+        else:
+            kern = kernel_lattice(top)
         entries[fan.dim] = HomologyEntry(GroupPresentation(kern.cols), kern.columns())
-        return HomologyTable(entries, cx.direction)
+        return HomologyTable(entries, cx.direction), cx.blocks[fan.dim], kern
 
-    return fan.memo(("star_hom", gamma, p, str(ring)), compute)
+    return fan.memo(("star", gamma, p, str(ring)), compute)
+
+
+def star_homology_table(fan: Fan, gamma: int, p: int, ring: RingTag) -> HomologyTable:
+    """Memoized homology of the star complex, read from `_star`: the top
+    degree is the kernel of the star's top differential, and only the lower
+    degrees are eliminated."""
+    return _star(fan, gamma, p, ring)[0]
 
 
 def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
@@ -311,12 +308,10 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
     d = fan.dim
     if d < 2:
         raise ValueError("the star-homology row needs a fan of dimension >= 2")
-    module = fan.multitangent(d - p)
-
     layouts = {}
     kernels = {}
     for fid in range(fan.face_count()):
-        layouts[fid], kernels[fid] = _star_top_kernel(fan, module, fid, ring)
+        _, layouts[fid], kernels[fid] = _star(fan, fid, d - p, ring)
 
     degrees = list(range(d + 1))
     blocks = {}
@@ -360,7 +355,7 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
 
 def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
     """Coordinates of columns of ring elements in a star kernel basis from
-    `_star_top_kernel`, one coordinate column per column.
+    `_star`, one coordinate column per column.
 
     Over Z and Q the basis is saturated, so an integer column in its span
     has integer coordinates; a Q column is scaled by the lcm of its

@@ -15,14 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
 
-from .complexes import (
-    bm_chain_complex,
-    euler_characteristic,
-    star_homology_table,
-    star_top_boundary,
-    _coords_in_kernel,
-    _star_top_kernel,
-)
+from .complexes import _coords_in_kernel, _star, star_homology_table, star_top_boundary
 from .exact import RingTag
 from .fans import Fan, WeightedFan
 from .intmat import IntMatrix, det_int
@@ -180,8 +173,7 @@ def is_uniquely_balanced(wf: WeightedFan) -> bool:
 def _star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
     """Whether the star kernel at gamma has rank one, generated by the
     restricted fundamental chain."""
-    fan = wf.fan
-    blocks, kern = _star_top_kernel(fan, fan.multitangent(fan.dim), gamma, wf.ring)
+    _, blocks, kern = _star(wf.fan, gamma, wf.fan.dim, wf.ring)
     if kern.cols != 1:
         return False
     coords = _coords_in_kernel(kern, [fundamental_chain(wf).vector(blocks)], wf.ring)[0]
@@ -255,7 +247,7 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
         raise ValueError(f"degree {p} out of range")
     fp = fan.multitangent(p)
     ring = wf.ring
-    blocks, kern = _star_top_kernel(fan, fan.multitangent(d - p), gamma, ring)
+    _, blocks, kern = _star(fan, gamma, d - p, ring)
     src_rank = fp.rank(gamma)
     per_alpha = {b.face: _cap_block_matrix(fan, b.face, gamma, p) for b in blocks}
     columns = []
@@ -452,19 +444,23 @@ HYPOTHESIS_VIOLATED = "hypothesis-violated"
 def euler_criterion(wf: WeightedFan, p: int) -> str:
     """Field-coefficient duality test in a single degree via dimensions.
 
-    Checks the vanishing hypothesis (homology of the degree-p cosheaf
-    concentrated in the top degree) rather than assuming it; when the
-    hypothesis fails the result is the distinguished third status.
+    The cap in degree p maps H^0(F^p) into the top Borel-Moore homology of
+    the degree-(d-p) cosheaf F_{d-p}. The test checks the vanishing
+    hypothesis (homology of F_{d-p} concentrated in the top degree) rather
+    than assuming it; when the hypothesis fails the result is the
+    distinguished third status. Under it the Euler characteristic of F_{d-p}
+    is the dimension of its top group, which must equal the rank of F^p at
+    the vertex.
     """
     if not wf.ring.is_field:
         raise ValueError("the Euler criterion works over a field")
     _require_balanced(wf)
     fan = wf.fan
     d = fan.dim
-    table = star_homology_table(fan, fan.vertex_id, p, wf.ring)
+    table = star_homology_table(fan, fan.vertex_id, d - p, wf.ring)
     if not table.is_trivial_except([d]):
         return HYPOTHESIS_VIOLATED
-    chi = euler_characteristic(bm_chain_complex(fan, d - p, wf.ring))
+    chi = table.group(d).free_rank
     dual_dim = fan.multitangent(p).rank(fan.vertex_id)
     return HOLDS if chi == dual_dim else FAILS
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .intmat import IntMatrix, det_int, solve_int
+from .intmat import IntMatrix, _echelon_pivots, det_int
 from .exact import RingTag, hnf_basis, rank_over_q, saturate
 
 # The largest face count a fan may have. It admits the Bergman fan of U(5,7)
@@ -26,11 +26,16 @@ MAX_FACES = 5000
 def _coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
     """Sign of det(X) for the square solution X of basis * X = mat.
 
-    The columns of mat lie in the saturated lattice that basis spans, so X
-    is integral; basis is a canonical HNF up to the sign of its last column,
-    so the solve is forward substitution.
+    basis is a canonical HNF up to the sign of its last column, so it is in
+    column echelon form. On its pivot rows P it is triangular with the pivots
+    on the diagonal, so det(X) = det(mat_P) / prod(pivots) and no solve is
+    needed.
     """
-    det = det_int(solve_int(basis, mat))
+    pivots = _echelon_pivots(basis)
+    det = det_int(mat.submatrix(pivots, range(mat.cols)))
+    for j, r in enumerate(pivots):
+        if basis.data[r][j] < 0:
+            det = -det
     return (det > 0) - (det < 0)
 
 
@@ -156,7 +161,8 @@ class Fan:
         return self._multitangent_cache[p]
 
     def memo(self, key, compute):
-        """Weight-independent per-fan memo (homology, kernels, contractions)."""
+        """Weight-independent per-fan memo (star computations, contractions),
+        shared by the `with_ring` copies of a weighted fan."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]

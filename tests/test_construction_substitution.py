@@ -181,6 +181,23 @@ def test_face_bases_orientations_and_signs_match_oracle(name, fan):
         u = [sum(fan.rays[r][i] for r in extra) for i in range(fan.ambient_rank)]
         mat = IntMatrix.from_cols([u] + tau.lattice_basis.columns(), rows=fan.ambient_rank)
         assert sign == oracle_coords_det_sign(sigma.lattice_basis, mat)
+        # Either orientation of the basis: its last column flipped or not.
+        flipped = sigma.lattice_basis.copy()
+        for row in flipped.data:
+            row[-1] = -row[-1]
+        for basis in (sigma.lattice_basis, flipped):
+            assert fans._coords_det_sign(basis, mat) == oracle_coords_det_sign(basis, mat)
+
+
+@PROPERTY
+@given(echelon_matrices(), st.data())
+def test_coords_det_sign_matches_oracle(basis, data):
+    # Echelon bases with pivots of either sign, against square systems with
+    # any (possibly singular) integral solution.
+    k = basis.cols
+    x = IntMatrix(k, k, [[data.draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(k)])
+    mat = basis * x
+    assert fans._coords_det_sign(basis, mat) == oracle_coords_det_sign(basis, mat)
 
 
 @st.composite

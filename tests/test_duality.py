@@ -29,7 +29,7 @@ from tropfan.duality import (
     stars_balanced_check,
     tpd_from_stars_check,
 )
-from tropfan.exact import kernel_lattice, rank_field
+from tropfan.exact import RingTag, kernel_lattice, rank_field
 from tropfan.fans import build_fan
 from tropfan.intmat import IntMatrix, det_int, solve_int
 from tropfan.matroids import Matroid, bergman_fan
@@ -350,12 +350,15 @@ class TestEulerCriterion:
         wf = fixtures.load("surface_r4")
         assert [euler_criterion(wf, p) for p in range(3)] == [HOLDS] * 3
 
-    def test_surface_r3_p0_fails(self):
-        assert euler_criterion(fixtures.load("surface_r3"), 0) == FAILS
+    def test_surface_r3_p0_hypothesis_violated(self):
+        # The cap at p = 0 lands in F_2, which has homology below the top
+        # degree.
+        assert euler_criterion(fixtures.load("surface_r3"), 0) == HYPOTHESIS_VIOLATED
 
-    def test_surface_r3_p2_hypothesis_violated(self):
-        # The degree-2 cosheaf has homology below the top degree.
-        assert euler_criterion(fixtures.load("surface_r3"), 2) == HYPOTHESIS_VIOLATED
+    def test_surface_r3_p2_fails(self):
+        # F_0 vanishes below the top degree, but chi(F_0) = 5 while F^2 has
+        # rank 3 at the vertex: the cap witness is "rank mismatch 3 vs 5".
+        assert euler_criterion(fixtures.load("surface_r3"), 2) == FAILS
 
     def test_cross_p0_fails(self):
         assert euler_criterion(weighted(cross_fan(), [1, 1, 1, 1], Q), 0) == FAILS
@@ -363,6 +366,30 @@ class TestEulerCriterion:
     def test_needs_field(self):
         with pytest.raises(ValueError, match="field"):
             euler_criterion(weighted(cross_fan(), [1, 1, 1, 1]), 0)
+
+    def test_statuses_match_the_tpd_report(self):
+        # Over every field the weights allow: the hypothesis is violated iff
+        # a vanishing entry of the report for p fails, and the criterion fails
+        # iff vanishing holds and the cap for p has a rank mismatch.
+        fans = [fixtures.load(name) for name in fixtures.NAMES]
+        fans.append(bergman_fan(Matroid.uniform(3, 5)))
+        cases = 0
+        for base in fans:
+            for ring in (Q, F2, F3, RingTag.Fp(5)):
+                try:
+                    wf = base.with_ring(ring)
+                except ValueError:
+                    continue  # a weight is a zero-divisor mod p
+                report = is_tpd(wf)
+                for p in range(wf.fan.dim + 1):
+                    status = euler_criterion(wf, p)
+                    mine = [e for e in report.entries if e.p == p]
+                    vanishing = all(e.ok for e in mine if e.kind == "vanishing")
+                    [cap] = [e for e in mine if e.kind == "cap"]
+                    assert (status == HYPOTHESIS_VIOLATED) == (not vanishing)
+                    assert (status == FAILS) == (vanishing and cap.witness.startswith("rank mismatch"))
+                    cases += 1
+        assert cases == 61
 
     def test_biconditional_under_blanket_vanishing(self):
         # When the vanishing hypothesis holds for every p, the criterion for

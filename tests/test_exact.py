@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from tropfan import fixtures
-from tropfan.complexes import _coords_in_kernel, _star_top_kernel
+from tropfan.complexes import _coords_in_kernel, _star, star_top_boundary
 from tropfan.duality import fundamental_chain
 from tropfan.exact import (
     MAX_MODULUS,
@@ -156,7 +156,9 @@ class TestKernel:
             wf = fixtures.load(name).with_ring(Q)
             fan = wf.fan
             for gamma in range(fan.face_count()):
-                blocks, kern = _star_top_kernel(fan, fan.multitangent(fan.dim), gamma, Q)
+                blocks, mat = star_top_boundary(fan, fan.multitangent(fan.dim), gamma)
+                kern = kernel_lattice(mat)
+                assert _star(fan, gamma, fan.dim, Q)[1:] == (blocks, kern)
                 chain = fundamental_chain(wf).vector(blocks)
                 [coords] = _coords_in_kernel(kern, [chain], Q)
                 assert all(isinstance(x, (int, Fraction)) for x in coords)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropfan.duality as duality
 from tropfan import fixtures
 from tropfan.cli import run_cli
 from tropfan.io import (
@@ -219,6 +220,30 @@ class TestCli:
         assert "rank 1" in out and "rank 4" in out and "rank 5" in out
         bad = self._write(tmp_path, "surface_r3")
         assert run_cli(["tpd", "--fan", bad]) == 1
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_tpd_text_reads_the_cap_ranks(self, tmp_path, capsys, monkeypatch, name):
+        # The rank lines come from the modules and the star table, so each
+        # cap is computed once, by the certificate; the text is what the
+        # command printed when it recomputed every cap for its two ranks.
+        calls = []
+        real = duality.cap_star
+        monkeypatch.setattr(duality, "cap_star", lambda *a: calls.append(a) or real(*a))
+        code = run_cli(["tpd", "--fan", self._write(tmp_path, name)])
+        out = capsys.readouterr().out
+        wf = fixtures.load(name)
+        d = wf.fan.dim
+        assert len(calls) == d + 1
+        report = duality.is_tpd(wf)
+        rows = [f"(p={e.p}, q={e.q}) {e.kind}: {'ok' if e.ok else 'FAIL ' + e.witness}" for e in report.entries]
+        for p in range(d + 1):
+            cap = duality.cap_q0(wf, p)
+            rows.append(
+                f"cap p={p}: H^0(F^{p}) rank {cap.domain_rank} -> H_{d}^BM(F_{d - p}) rank {cap.kernel_basis.cols}"
+            )
+        rows.append(f"verdict: {'TPD holds' if report.verdict else 'TPD fails'}")
+        assert out == "\n".join(rows) + "\n"
+        assert code == (0 if report.verdict else 1)
 
     def test_balance_witness_and_exit(self, tmp_path, capsys):
         doc = json.loads(fixtures.text("cross"))

@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import tropfan.complexes as complexes
+import tropfan.duality as duality
 import tropfan.exact as exact
 from tropfan import fixtures
-from tropfan.complexes import _star_top_kernel, bm_chain_complex, star_homology_table
-from tropfan.exact import GroupPresentation, homology_of_pair
+from tropfan.complexes import _star, bm_chain_complex, star_homology_table, star_top_boundary
+from tropfan.exact import GroupPresentation, homology_of_pair, kernel_field, kernel_lattice
 from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
@@ -46,24 +48,41 @@ def _complexes(fan, ring):
             yield bm_chain_complex(view, p, ring)
 
 
+_INTEGER_ORACLE = {}
+
+
+def _oracle(key, b_in, b_out, ring):
+    """`oracle_homology_of_pair`, with the integer answers kept across test
+    cases. Z and Q share the oracle's integer path: the Q group is the free
+    part of the Z group, and its representatives are the free generators."""
+    if ring.kind == "Fp":
+        return oracle_homology_of_pair(b_in, b_out, ring)
+    if key not in _INTEGER_ORACLE:
+        _INTEGER_ORACLE[key] = oracle_homology_of_pair(b_in, b_out, Z)
+    group, reps = _INTEGER_ORACLE[key]
+    if ring.kind == "Q":
+        return GroupPresentation(group.free_rank), reps[len(group.invariant_factors):]
+    return group, reps
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 @pytest.mark.parametrize("name", sorted(FANS))
 def test_groups_and_representatives_match_the_kernel_path(name, ring):
     # Global complexes through homology_of_pair, star complexes through the
-    # memoized star tables, whose top degree is the shared star kernel.
+    # memoized star tables, whose top degree is the star kernel.
     fan = FANS[name]
     for p in range(fan.dim + 1):
         cx = bm_chain_complex(fan, p, ring)
         for q in cx.degrees:
             b_in, b_out = cx.boundary_in(q), cx.boundary_out(q)
-            assert homology_of_pair(b_in, b_out, ring) == oracle_homology_of_pair(b_in, b_out, ring)
+            assert homology_of_pair(b_in, b_out, ring) == _oracle((name, None, p, q), b_in, b_out, ring)
         for gamma in range(fan.face_count()):
             table = star_homology_table(fan, gamma, p, ring)
             cx = bm_chain_complex(fan.star_view(gamma), p, ring)
             assert sorted(table.entries) == cx.degrees
             for q in cx.degrees:
                 entry = table.entries[q]
-                expected = oracle_homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), ring)
+                expected = _oracle((name, gamma, p, q), cx.boundary_in(q), cx.boundary_out(q), ring)
                 assert (entry.group, entry.representatives) == expected
 
 
@@ -177,13 +196,35 @@ def test_no_kernel_or_snf_below_the_top_degree(name, monkeypatch):
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 @pytest.mark.parametrize("name", ["surface_r3", "U(3,5)"])
 def test_star_top_entry_is_the_star_kernel(name, ring):
+    # The top degree of the star table, and the kernel basis and layout the
+    # caps read, against the kernel of a separately assembled top boundary.
     fan = FANS[name]
     for gamma in range(fan.face_count()):
         for p in range(fan.dim + 1):
-            entry = star_homology_table(fan, gamma, p, ring).entries[fan.dim]
-            _, kern = _star_top_kernel(fan, fan.multitangent(p), gamma, ring)
-            assert entry.group == GroupPresentation(kern.cols)
-            assert entry.representatives == kern.columns()
+            table, blocks, kern = _star(fan, gamma, p, ring)
+            assert table is star_homology_table(fan, gamma, p, ring)
+            expected_blocks, mat = star_top_boundary(fan, fan.multitangent(p), gamma)
+            if ring.kind == "Fp":
+                expected = kernel_field(mat, ring)
+            else:
+                expected = kernel_lattice(mat).columns()
+            entry = table.entries[fan.dim]
+            assert entry.group == GroupPresentation(len(expected))
+            assert entry.representatives == expected == kern.columns()
+            assert kern.rows == mat.cols and blocks == expected_blocks
+
+
+def test_local_tpd_assembles_each_star_once(monkeypatch):
+    # One star complex per face and degree; the top boundary is assembled a
+    # second time only by the balancing check.
+    calls = []
+    for module, name in ((duality, "star_top_boundary"), (complexes, "_bm_differential")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    wf = bergman_fan(Matroid.uniform(3, 5))
+    assert duality.is_local_tpd(wf).verdict
+    assert calls.count("star_top_boundary") == 1
+    assert calls.count("_bm_differential") == 52
 
 
 @pytest.mark.parametrize(
