@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import io as tfio
 from .complexes import bm_chain_complex, compact_cochain_complex, plain_cochain_complex
@@ -31,7 +32,10 @@ from .io import InputError
 from .matroids import bergman_fan
 
 
+@cache
 def _build_parser():
+    """The parser of every subcommand, built on the first call only: each
+    `parse_args` fills a new namespace, so one parser serves every call."""
     top = argparse.ArgumentParser(prog="tropfan", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

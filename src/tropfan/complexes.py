@@ -8,6 +8,7 @@ used for fans (homology of a d-fan lives in degrees 0..d).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -21,7 +22,7 @@ from .exact import (
     solve_field,
 )
 from .fans import ConeView, Fan, StarView, WeightedFan
-from .intmat import IntMatrix, solve_int
+from .intmat import IntMatrix, SparseIntMatrix, solve_int
 
 
 @dataclass
@@ -57,7 +58,7 @@ class ChainComplex:
             return self.diffs[q]
         target = self._neighbor(q)
         rows = self.rank(target) if target in self.blocks else 0
-        return IntMatrix(rows, self.rank(q))
+        return SparseIntMatrix(rows, self.rank(q), [{} for _ in range(rows)])
 
     def boundary_in(self, q) -> IntMatrix:
         src = q + 1 if self.direction == "homological" else q - 1
@@ -77,6 +78,22 @@ class ChainComplex:
 class HomologyEntry:
     group: GroupPresentation
     representatives: list  # coordinate columns in the degree's chain group
+
+
+class _KernelEntry(HomologyEntry):
+    """The top entry of a star table, whose representatives, the columns of
+    the star's `_star_kernel`, are built on first read."""
+
+    def __init__(self, group, fan, gamma, p, ring):
+        self.group = group
+        # The fan memoizes its star tables, so a strong reference back would
+        # keep every fan alive until the cyclic collector runs.
+        self._star = (weakref.ref(fan), gamma, p, ring)
+
+    @property
+    def representatives(self):
+        fan, gamma, p, ring = self._star
+        return _star_kernel(fan(), gamma, p, ring).columns()
 
 
 @dataclass
@@ -109,10 +126,11 @@ def _layout(fan: Fan, face_ids, ranks):
 
 
 def _bm_differential(fan: Fan, module, q, blocks_q, blocks_q1):
-    """Block matrix of the Borel-Moore boundary from degree q to q-1."""
-    rows = sum(b.rank for b in blocks_q1)
-    cols = sum(b.rank for b in blocks_q)
-    out = IntMatrix(rows, cols)
+    """Block matrix of the Borel-Moore boundary from degree q to q-1, as a
+    `SparseIntMatrix`. Each pair of a face and one of its facets fills its
+    own block, so every nonzero is written once, and the blocks of a row
+    are visited in column order."""
+    entries = [{} for _ in range(sum(b.rank for b in blocks_q1))]
     tau_of = {b.face: b for b in blocks_q1}
     for bs in blocks_q:
         for tau in fan.facets_of(bs.face):
@@ -121,11 +139,12 @@ def _bm_differential(fan: Fan, module, q, blocks_q, blocks_q1):
             bt = tau_of[tau]
             sign = fan.incidence_sign(tau, bs.face)
             inc = module.inclusion(bs.face, tau)
-            for i in range(inc.rows):
-                row = out.data[bt.offset + i]
-                for j in range(inc.cols):
-                    row[bs.offset + j] += sign * inc.data[i][j]
-    return out
+            for i, inc_row in enumerate(inc.data):
+                entry = entries[bt.offset + i]
+                for j, x in enumerate(inc_row):
+                    if x:
+                        entry[bs.offset + j] = sign * x
+    return SparseIntMatrix(len(entries), sum(b.rank for b in blocks_q), entries)
 
 
 def bm_chain_complex(fan_or_view, p: int, ring: RingTag) -> ChainComplex:
@@ -260,38 +279,57 @@ def star_top_boundary(fan: Fan, module, gamma: int):
 
 def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
     """The star of gamma in degree p, computed once per fan and ring: its
-    homology table, the block layout of its top degree, and the kernel basis
-    of its top differential (weights play no role here).
+    homology table, the block layout of its top degree, and its top
+    differential (weights play no role here).
 
     The star complex is assembled once. The degrees below the top go through
     `homology_of_pair`. The top degree has no incoming boundary, so its
-    homology is the kernel of the top differential: the integer kernel
-    lattice over Z and Q (a saturated integer basis is also a Q-basis), the
-    mod-p kernel over F_p. The cap products and the star row read that basis.
+    group is the kernel of the top differential: free, of the rank that the
+    Euler characteristic leaves. The alternating sum of the ranks of the
+    chain groups equals that of the homology groups, and all but the top
+    one are known, so the top differential is never eliminated. Its kernel
+    basis, the top entry's representatives, is `_star_kernel`, built only
+    when it is read.
     """
 
     def compute():
         cx = bm_chain_complex(fan.star_view(gamma), p, ring)
+        d = fan.dim
         entries = {
             q: HomologyEntry(*homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), ring))
             for q in cx.degrees[:-1]
         }
-        top = cx.boundary_out(fan.dim)
-        if ring.kind == "Fp":
-            cols = kernel_field(top, ring)
-            kern = IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
-        else:
-            kern = kernel_lattice(top)
-        entries[fan.dim] = HomologyEntry(GroupPresentation(kern.cols), kern.columns())
-        return HomologyTable(entries, cx.direction), cx.blocks[fan.dim], kern
+        top_rank = cx.rank(d) + sum(
+            (-1) ** (d - q) * (cx.rank(q) - e.group.free_rank) for q, e in entries.items()
+        )
+        entries[d] = _KernelEntry(GroupPresentation(top_rank), fan, gamma, p, ring)
+        return HomologyTable(entries, cx.direction), cx.blocks[d], cx.boundary_out(d)
 
     return fan.memo(("star", gamma, p, str(ring)), compute)
 
 
+def _star_kernel(fan: Fan, gamma: int, p: int, ring: RingTag) -> IntMatrix:
+    """The kernel basis of the top differential of a star from `_star`, as
+    the columns of a matrix: the saturated integer kernel lattice over Z and
+    Q (a saturated integer basis is also a Q-basis), the mod-p kernel over
+    F_p. Computed once per fan and ring, on first request: by the top
+    entry's representatives, the star row, or a cap whose verdict or
+    witness needs the coordinates of its columns."""
+
+    def compute():
+        top = _star(fan, gamma, p, ring)[2]
+        if ring.kind == "Fp":
+            cols = kernel_field(top, ring)
+            return IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
+        return kernel_lattice(top)
+
+    return fan.memo(("star_kernel", gamma, p, str(ring)), compute)
+
+
 def star_homology_table(fan: Fan, gamma: int, p: int, ring: RingTag) -> HomologyTable:
-    """Memoized homology of the star complex, read from `_star`: the top
-    degree is the kernel of the star's top differential, and only the lower
-    degrees are eliminated."""
+    """Memoized homology of the star complex, read from `_star`: only the
+    degrees below the top are eliminated, and the top group is read off the
+    Euler characteristic."""
     return _star(fan, gamma, p, ring)[0]
 
 
@@ -308,10 +346,8 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
     d = fan.dim
     if d < 2:
         raise ValueError("the star-homology row needs a fan of dimension >= 2")
-    layouts = {}
-    kernels = {}
-    for fid in range(fan.face_count()):
-        _, layouts[fid], kernels[fid] = _star(fan, fid, d - p, ring)
+    layouts = {fid: _star(fan, fid, d - p, ring)[1] for fid in range(fan.face_count())}
+    kernels = {fid: _star_kernel(fan, fid, d - p, ring) for fid in range(fan.face_count())}
 
     degrees = list(range(d + 1))
     blocks = {}
@@ -355,7 +391,7 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
 
 def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
     """Coordinates of columns of ring elements in a star kernel basis from
-    `_star`, one coordinate column per column.
+    `_star_kernel`, one coordinate column per column.
 
     Over Z and Q the basis is saturated, so an integer column in its span
     has integer coordinates; a Q column is scaled by the lcm of its

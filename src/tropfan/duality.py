@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
-from .complexes import _coords_in_kernel, _star, star_homology_table, star_top_boundary
-from .exact import RingTag
+from .complexes import _coords_in_kernel, _star, _star_kernel, star_homology_table, star_top_boundary
+from .exact import RingTag, _rank_and_torsion, _unit_pivot_reduce
 from .fans import Fan, WeightedFan
-from .intmat import IntMatrix, det_int
+from .intmat import IntMatrix, SparseIntMatrix, det_int
 
 
 class TheoremViolation(RuntimeError):
@@ -86,12 +87,8 @@ def _rzero(x, ring: RingTag):
     return _rnorm(x, ring) == 0
 
 
-def _int_mat_times_ring_vec(mat: IntMatrix, vec, ring: RingTag):
-    out = []
-    for i in range(mat.rows):
-        acc = sum(mat.data[i][j] * vec[j] for j in range(mat.cols) if mat.data[i][j])
-        out.append(_rnorm(acc, ring))
-    return out
+def _int_mat_times_ring_vec(mat: SparseIntMatrix, vec, ring: RingTag):
+    return [_rnorm(sum(x * vec[j] for j, x in entry.items()), ring) for entry in mat.entries]
 
 
 def _det_ring(columns, ring: RingTag):
@@ -171,13 +168,18 @@ def is_uniquely_balanced(wf: WeightedFan) -> bool:
 
 
 def _star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
-    """Whether the star kernel at gamma has rank one, generated by the
-    restricted fundamental chain."""
-    _, blocks, kern = _star(wf.fan, gamma, wf.fan.dim, wf.ring)
-    if kern.cols != 1:
+    """Whether the star's top homology at gamma has rank one, generated by
+    the restricted fundamental chain.
+
+    The chain is a cycle, so it is x times a generator k of a rank-one top
+    group. Over Z, k is saturated (its entries are coprime), so x is a unit
+    exactly when the entries of the chain are coprime. Over a field any
+    nonzero x is a unit, and the chain, a nonzero weight on every top face
+    of the star, is nonzero."""
+    table, blocks, _ = _star(wf.fan, gamma, wf.fan.dim, wf.ring)
+    if table.group(wf.fan.dim).free_rank != 1:
         return False
-    coords = _coords_in_kernel(kern, [fundamental_chain(wf).vector(blocks)], wf.ring)[0]
-    return wf.ring.is_unit(coords[0])
+    return wf.ring.is_field or gcd(*fundamental_chain(wf).vector(blocks)) == 1
 
 
 def stars_balanced_check(wf: WeightedFan) -> bool:
@@ -201,9 +203,11 @@ def stars_balanced_check(wf: WeightedFan) -> bool:
 
 @dataclass
 class CapResult:
-    """The cap against the fundamental chain at a face, in two forms: ambient
-    columns (in the stored top-block bases) and coordinates in the stored
-    kernel basis of the star's top homology."""
+    """The cap against the fundamental chain at a face: its ambient columns
+    C in the stored top-block bases, and their coordinates X in the kernel
+    basis K of the star's top homology, C = K X. The kernel basis and the
+    coordinates are computed on first read; the verdict mostly needs
+    neither (see `is_isomorphism`)."""
 
     base: int
     p: int
@@ -211,21 +215,45 @@ class CapResult:
     domain_rank: int
     blocks: list
     ambient_columns: list
-    kernel_basis: IntMatrix
-    kernel_columns: list
+    top_rank: int  # rank of the star's top homology, the number of columns of K
+    fan: Fan
+
+    @cached_property
+    def kernel_basis(self) -> IntMatrix:
+        return _star_kernel(self.fan, self.base, self.fan.dim - self.p, self.ring)
+
+    @cached_property
+    def kernel_columns(self) -> list:
+        return _coords_in_kernel(self.kernel_basis, self.ambient_columns, self.ring)
+
+    @cached_property
+    def determinant(self):
+        """det X, in the ring."""
+        return _det_ring(self.kernel_columns, self.ring)
 
     def is_isomorphism(self) -> bool:
-        if self.domain_rank != self.kernel_basis.cols:
+        """Whether the square X is invertible over the ring, read from C.
+
+        K is saturated, so C and X have the same rank and the same invariant
+        factors. Over a field X is invertible iff C has full column rank.
+        Over Z it is when each column of C yields a unit pivot under
+        unit-pivot reduction; otherwise the determinant of X decides."""
+        if self.domain_rank != self.top_rank:
             return False
         if self.domain_rank == 0:
             return True
-        return self.ring.is_unit(_det_ring(self.kernel_columns, self.ring))
+        rows = []
+        for col in self.ambient_columns:
+            scale = lcm(*(x.denominator for x in col))  # 1 but over Q, where it keeps the rank
+            rows.append({i: int(x * scale) for i, x in enumerate(col) if x})
+        if self.ring.is_field:
+            return _rank_and_torsion(rows, self.ring.p)[0] == self.domain_rank
+        return _unit_pivot_reduce(rows)[0] == self.domain_rank or self.ring.is_unit(self.determinant)
 
     def failure_witness(self):
-        if self.domain_rank != self.kernel_basis.cols:
-            return f"rank mismatch {self.domain_rank} vs {self.kernel_basis.cols}"
-        det = _det_ring(self.kernel_columns, self.ring)
-        return f"determinant {det}"
+        if self.domain_rank != self.top_rank:
+            return f"rank mismatch {self.domain_rank} vs {self.top_rank}"
+        return f"determinant {self.determinant}"
 
 
 def _cap_block_matrix(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
@@ -247,7 +275,7 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
         raise ValueError(f"degree {p} out of range")
     fp = fan.multitangent(p)
     ring = wf.ring
-    _, blocks, kern = _star(fan, gamma, d - p, ring)
+    table, blocks, top = _star(fan, gamma, d - p, ring)
     src_rank = fp.rank(gamma)
     per_alpha = {b.face: _cap_block_matrix(fan, b.face, gamma, p) for b in blocks}
     columns = []
@@ -259,8 +287,9 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
             for i in range(mat.rows):
                 col.append(_rnorm(w * mat.data[i][j], ring))
         columns.append(col)
-    kernel_columns = _coords_in_kernel(kern, columns, ring)
-    return CapResult(gamma, p, ring, src_rank, blocks, columns, kern, kernel_columns)
+    if any(any(_int_mat_times_ring_vec(top, col, ring)) for col in columns):
+        raise ValueError("image does not lie in the kernel")
+    return CapResult(gamma, p, ring, src_rank, blocks, columns, table.group(d).free_rank, fan)
 
 
 def cap_q0(wf: WeightedFan, p: int) -> CapResult:

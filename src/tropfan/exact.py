@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import IntMatrix, _echelon_pivots, _gauss_jordan_ff, _substitute, solve_int
+from .intmat import IntMatrix, SparseIntMatrix, _echelon_pivots, _gauss_jordan_ff, _substitute, solve_int
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +487,16 @@ class GroupPresentation:
 
 
 def _sparse_rows(m: IntMatrix, p=None):
-    """The nonzero entries of m as one {column: value} dict per row, reduced
-    mod p when p is given."""
+    """The nonzero entries of m as one new {column: value} dict per row,
+    reduced mod p when p is given; a `SparseIntMatrix` has its rows copied,
+    not scanned."""
+    if isinstance(m, SparseIntMatrix):
+        rows = [entry.items() for entry in m.entries]
+    else:
+        rows = [enumerate(row) for row in m.data]
     if p is None:
-        return [{j: x for j, x in enumerate(row) if x} for row in m.data]
-    return [{j: x % p for j, x in enumerate(row) if x % p} for row in m.data]
+        return [{j: x for j, x in row if x} for row in rows]
+    return [{j: x % p for j, x in row if x % p} for row in rows]
 
 
 def _composes(out_rows, in_rows, p=None) -> bool:

@@ -1,8 +1,10 @@
-"""Dense exact integer matrices.
+"""Exact integer matrices.
 
 Entries are Python ints (arbitrary precision), stored row-major as a list of
 lists. This is the carrier type for every boundary, inclusion and cap matrix
-in the package; nothing here is numeric-approximate.
+in the package; nothing here is numeric-approximate. The Borel-Moore
+differentials, which are mostly zeros, are `SparseIntMatrix`es: one dict of
+nonzeros per row, with the list-of-lists form built only when it is read.
 
 Linear systems over Z and Q are solved by one fraction-free Gauss-Jordan
 elimination on Python ints (`_gauss_jordan_ff`): a rational solution is read
@@ -151,6 +153,31 @@ class IntMatrix:
             self.cols + other.cols,
             [self.data[i] + other.data[i] for i in range(self.rows)],
         )
+
+
+class SparseIntMatrix(IntMatrix):
+    """An integer matrix kept as one {column: nonzero value} dict per row,
+    columns in increasing order. The dense `.data` that the other
+    `IntMatrix` methods read is built on first read and kept; the
+    eliminations and products that only need the nonzeros read `entries`.
+    """
+
+    __slots__ = ("entries", "_dense")
+
+    def __init__(self, rows, cols, entries):
+        self.rows, self.cols, self.entries, self._dense = rows, cols, entries, None
+
+    @property
+    def data(self):
+        if self._dense is None:
+            dense = []
+            for entry in self.entries:
+                row = [0] * self.cols
+                for j, x in entry.items():
+                    row[j] = x
+                dense.append(row)
+            self._dense = dense
+        return self._dense
 
 
 def hstack_all(mats):

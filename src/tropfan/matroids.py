@@ -13,6 +13,11 @@ from itertools import combinations
 from .exact import RingTag
 from .fans import MAX_FACES, Fan, WeightedFan, build_fan
 
+# The exchange check compares every pair of bases. U(4,13), with 715 bases,
+# is the largest uniform matroid of rank 4 whose Bergman fan stays within
+# MAX_FACES; U(4,14) has 1,001 bases.
+MAX_BASES = 1000
+
 
 class Matroid:
     def __init__(self, ground_size, bases):
@@ -26,7 +31,10 @@ class Matroid:
         for b in bases:
             if any(x < 0 or x >= self.ground_size for x in b):
                 raise ValueError("basis element out of range")
-        self.bases = sorted(set(bases), key=sorted)
+        bases = set(bases)
+        if len(bases) > MAX_BASES:
+            raise ValueError(f"matroid has more than {MAX_BASES} bases")
+        self.bases = sorted(bases, key=sorted)
         self.rank = sizes.pop()
         self._check_exchange()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -639,3 +640,130 @@ def oracle_closure(m: Matroid, subset):
     return frozenset(
         x for x in range(m.ground_size) if x in s or m.rank_of(s | {x}) == r
     )
+
+
+# ---------------------------------------------------------------------------
+# The dense Borel-Moore differential, and the caps and unique balancing that
+# read a kernel basis of every star's top boundary, as they were before the
+# differentials became sparse and the cap verdicts kernel-free; kept as
+# oracles for them.
+
+
+def oracle_bm_differential(fan, module, q, blocks_q, blocks_q1):
+    """Block matrix of the Borel-Moore boundary from degree q to q-1."""
+    rows = sum(b.rank for b in blocks_q1)
+    cols = sum(b.rank for b in blocks_q)
+    out = IntMatrix(rows, cols)
+    tau_of = {b.face: b for b in blocks_q1}
+    for bs in blocks_q:
+        for tau in fan.facets_of(bs.face):
+            if tau not in tau_of:
+                continue
+            bt = tau_of[tau]
+            sign = fan.incidence_sign(tau, bs.face)
+            inc = module.inclusion(bs.face, tau)
+            for i in range(inc.rows):
+                row = out.data[bt.offset + i]
+                for j in range(inc.cols):
+                    row[bs.offset + j] += sign * inc.data[i][j]
+    return out
+
+
+def oracle_star_top(fan, gamma: int, p: int, ring: RingTag):
+    """The block layout of the top degree of the star of gamma in degree p,
+    and the kernel basis of its dense top boundary: the integer kernel
+    lattice over Z and Q, the mod-p kernel over F_p. Memoized per fan under
+    its own key."""
+    from tropfan.complexes import _layout
+
+    def compute():
+        module = fan.multitangent(p)
+        members = fan.upper_set(gamma)
+        tops = [f for f in members if fan.faces[f].dim == fan.dim]
+        subs = [f for f in members if fan.faces[f].dim == fan.dim - 1]
+        ranks = {f: module.rank(f) for f in tops + subs}
+        blocks_top = _layout(fan, tops, ranks)
+        top = oracle_bm_differential(fan, module, fan.dim, blocks_top, _layout(fan, subs, ranks))
+        if ring.kind == "Fp":
+            cols = kernel_field(top, ring)
+            kern = IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
+        else:
+            kern = kernel_lattice(top)
+        return blocks_top, kern
+
+    return fan.memo(("oracle_star_top", gamma, p, str(ring)), compute)
+
+
+@dataclass
+class OracleCapResult:
+    """The cap against the fundamental chain at a face, in two forms: ambient
+    columns (in the stored top-block bases) and coordinates in the stored
+    kernel basis of the star's top homology."""
+
+    base: int
+    p: int
+    ring: RingTag
+    domain_rank: int
+    blocks: list
+    ambient_columns: list
+    kernel_basis: IntMatrix
+    kernel_columns: list
+
+    def is_isomorphism(self) -> bool:
+        from tropfan.duality import _det_ring
+
+        if self.domain_rank != self.kernel_basis.cols:
+            return False
+        if self.domain_rank == 0:
+            return True
+        return self.ring.is_unit(_det_ring(self.kernel_columns, self.ring))
+
+    def failure_witness(self):
+        from tropfan.duality import _det_ring
+
+        if self.domain_rank != self.kernel_basis.cols:
+            return f"rank mismatch {self.domain_rank} vs {self.kernel_basis.cols}"
+        det = _det_ring(self.kernel_columns, self.ring)
+        return f"determinant {det}"
+
+
+def oracle_cap_star(wf: WeightedFan, gamma: int, p: int) -> OracleCapResult:
+    """The cap product at a face: dual vectors at the face map to weighted
+    contractions over its top cofaces, solved into the star's kernel basis."""
+    from tropfan.complexes import _coords_in_kernel
+    from tropfan.duality import _cap_block_matrix, _require_balanced, _rnorm
+
+    _require_balanced(wf)
+    fan = wf.fan
+    d = fan.dim
+    if not 0 <= p <= d:
+        raise ValueError(f"degree {p} out of range")
+    fp = fan.multitangent(p)
+    ring = wf.ring
+    blocks, kern = oracle_star_top(fan, gamma, d - p, ring)
+    src_rank = fp.rank(gamma)
+    per_alpha = {b.face: _cap_block_matrix(fan, b.face, gamma, p) for b in blocks}
+    columns = []
+    for j in range(src_rank):
+        col = []
+        for b in blocks:
+            mat = per_alpha[b.face]
+            w = wf.weight(b.face)
+            for i in range(mat.rows):
+                col.append(_rnorm(w * mat.data[i][j], ring))
+        columns.append(col)
+    kernel_columns = _coords_in_kernel(kern, columns, ring)
+    return OracleCapResult(gamma, p, ring, src_rank, blocks, columns, kern, kernel_columns)
+
+
+def oracle_star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
+    """Whether the star kernel at gamma has rank one, generated by the
+    restricted fundamental chain."""
+    from tropfan.complexes import _coords_in_kernel
+    from tropfan.duality import fundamental_chain
+
+    blocks, kern = oracle_star_top(wf.fan, gamma, wf.fan.dim, wf.ring)
+    if kern.cols != 1:
+        return False
+    coords = _coords_in_kernel(kern, [fundamental_chain(wf).vector(blocks)], wf.ring)[0]
+    return wf.ring.is_unit(coords[0])

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from tropfan import fixtures
-from tropfan.complexes import _coords_in_kernel, _star, star_top_boundary
+from tropfan.complexes import _coords_in_kernel, _star, _star_kernel, star_top_boundary
 from tropfan.duality import fundamental_chain
 from tropfan.exact import (
     MAX_MODULUS,
@@ -158,7 +158,8 @@ class TestKernel:
             for gamma in range(fan.face_count()):
                 blocks, mat = star_top_boundary(fan, fan.multitangent(fan.dim), gamma)
                 kern = kernel_lattice(mat)
-                assert _star(fan, gamma, fan.dim, Q)[1:] == (blocks, kern)
+                assert _star(fan, gamma, fan.dim, Q)[1:] == (blocks, mat)
+                assert _star_kernel(fan, gamma, fan.dim, Q) == kern
                 chain = fundamental_chain(wf).vector(blocks)
                 [coords] = _coords_in_kernel(kern, [chain], Q)
                 assert all(isinstance(x, (int, Fraction)) for x in coords)

@@ -7,11 +7,13 @@ import os
 import random
 import tempfile
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropfan.cli as cli
 import tropfan.duality as duality
 from tropfan import fixtures
 from tropfan.cli import run_cli
@@ -220,6 +222,22 @@ class TestCli:
         assert "rank 1" in out and "rank 4" in out and "rank 5" in out
         bad = self._write(tmp_path, "surface_r3")
         assert run_cli(["tpd", "--fan", bad]) == 1
+
+    def test_successive_calls_parse_independently(self, tmp_path, capsys):
+        # One parser serves every call, so no subcommand, option or flag of
+        # a call may leak into the next.
+        path = self._write(tmp_path, "surface_r4")
+        assert run_cli(["euler", "--fan", path, "--ring", "Q", "--p", "1", "--json"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert first["command"] == "euler" and first["inputs"] == {"fan": path, "ring": "Q", "p": 1}
+        assert run_cli(["tpd", "--fan", path]) == 0
+        second = capsys.readouterr().out
+        assert second.startswith("(p=2, q=2) vanishing: ok") and second.endswith("verdict: TPD holds\n")
+        assert run_cli(["homology", "--fan", path, "--json"]) == 0
+        third = json.loads(capsys.readouterr().out)
+        assert third["command"] == "homology" and third["inputs"] == {"fan": path}
+        assert sorted(third["results"]) == sorted(f"H_{q}^BM(F_{p})" for p in range(3) for q in range(3))
+        assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_tpd_text_reads_the_cap_ranks(self, tmp_path, capsys, monkeypatch, name):
@@ -448,6 +466,22 @@ class TestCliRejectsUnboundedOrIncompleteInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "more than 5000" in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+    def test_matroid_with_too_many_bases_exits_two_quickly(self, tmp_path, capsys):
+        # U(5,14) has 2,002 bases. The exchange check compares every pair of
+        # bases and took 17 s on it; the bound on bases now comes first.
+        doc = {"ground_size": 14, "bases": [list(b) for b in combinations(range(14), 5)]}
+        path = tmp_path / "u514.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="^matroid has more than 1000 bases$"):
+            parse_matroid(str(path))
+        assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        assert run_cli(["bergman", "--matroid", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.err == "error: matroid has more than 1000 bases\n" and not captured.out
 
     @pytest.mark.parametrize(
         "command, flag, text",

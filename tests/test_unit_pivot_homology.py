@@ -20,7 +20,7 @@ import tropfan.complexes as complexes
 import tropfan.duality as duality
 import tropfan.exact as exact
 from tropfan import fixtures
-from tropfan.complexes import _star, bm_chain_complex, star_homology_table, star_top_boundary
+from tropfan.complexes import _star, _star_kernel, bm_chain_complex, star_homology_table, star_top_boundary
 from tropfan.exact import GroupPresentation, homology_of_pair, kernel_field, kernel_lattice
 from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
@@ -196,12 +196,13 @@ def test_no_kernel_or_snf_below_the_top_degree(name, monkeypatch):
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 @pytest.mark.parametrize("name", ["surface_r3", "U(3,5)"])
 def test_star_top_entry_is_the_star_kernel(name, ring):
-    # The top degree of the star table, and the kernel basis and layout the
-    # caps read, against the kernel of a separately assembled top boundary.
+    # The top degree of the star table, the layout and top differential the
+    # caps read, and the kernel basis behind the top entry, against the
+    # kernel of a separately assembled top boundary.
     fan = FANS[name]
     for gamma in range(fan.face_count()):
         for p in range(fan.dim + 1):
-            table, blocks, kern = _star(fan, gamma, p, ring)
+            table, blocks, top = _star(fan, gamma, p, ring)
             assert table is star_homology_table(fan, gamma, p, ring)
             expected_blocks, mat = star_top_boundary(fan, fan.multitangent(p), gamma)
             if ring.kind == "Fp":
@@ -209,9 +210,10 @@ def test_star_top_entry_is_the_star_kernel(name, ring):
             else:
                 expected = kernel_lattice(mat).columns()
             entry = table.entries[fan.dim]
+            kern = _star_kernel(fan, gamma, p, ring)
             assert entry.group == GroupPresentation(len(expected))
             assert entry.representatives == expected == kern.columns()
-            assert kern.rows == mat.cols and blocks == expected_blocks
+            assert kern.rows == mat.cols and blocks == expected_blocks and top == mat
 
 
 def test_local_tpd_assembles_each_star_once(monkeypatch):
