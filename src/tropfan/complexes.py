@@ -8,9 +8,9 @@ used for fans (homology of a d-fan lives in degrees 0..d).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .exact import (
@@ -81,19 +81,29 @@ class HomologyEntry:
 
 
 class _KernelEntry(HomologyEntry):
-    """The top entry of a star table, whose representatives, the columns of
-    the star's `_star_kernel`, are built on first read."""
+    """The top entry of a star table. It keeps the star's top differential
+    and owns its kernel basis, whose columns are the representatives."""
 
-    def __init__(self, group, fan, gamma, p, ring):
+    def __init__(self, group, top, ring):
         self.group = group
-        # The fan memoizes its star tables, so a strong reference back would
-        # keep every fan alive until the cyclic collector runs.
-        self._star = (weakref.ref(fan), gamma, p, ring)
+        self.top = top
+        self.ring = ring
+
+    @cached_property
+    def kernel(self) -> IntMatrix:
+        """The kernel basis of the top differential, as the columns of a
+        matrix: the saturated integer kernel lattice over Z and Q (a
+        saturated integer basis is also a Q-basis), the mod-p kernel over
+        F_p. Built once, on first read: by the representatives, the star
+        row, or a cap whose verdict or witness needs kernel coordinates."""
+        if self.ring.kind == "Fp":
+            cols = kernel_field(self.top, self.ring)
+            return IntMatrix.from_cols(cols, rows=self.top.cols) if cols else IntMatrix(self.top.cols, 0)
+        return kernel_lattice(self.top)
 
     @property
     def representatives(self):
-        fan, gamma, p, ring = self._star
-        return _star_kernel(fan(), gamma, p, ring).columns()
+        return self.kernel.columns()
 
 
 @dataclass
@@ -116,7 +126,7 @@ class HomologyTable:
 # Assembly helpers
 
 
-def _layout(fan: Fan, face_ids, ranks):
+def _layout(face_ids, ranks):
     blocks = []
     off = 0
     for fid in face_ids:
@@ -165,7 +175,7 @@ def bm_chain_complex(fan_or_view, p: int, ring: RingTag) -> ChainComplex:
     degrees = list(range(lo, fan.dim + 1))
     ranks = {fid: module.rank(fid) for fid in members}
     by_dim = {q: [f for f in members if fan.faces[f].dim == q] for q in degrees}
-    blocks = {q: _layout(fan, by_dim[q], ranks) for q in degrees}
+    blocks = {q: _layout(by_dim[q], ranks) for q in degrees}
     diffs = {}
     for q in degrees:
         if q - 1 in blocks:
@@ -188,26 +198,24 @@ def compact_cochain_complex(fan: Fan, p: int, ring: RingTag) -> ChainComplex:
     return ChainComplex("cohomological", ring, bm.degrees, bm.blocks, diffs)
 
 
-def plain_cochain_complex(fan: Fan, p: int, ring: RingTag) -> ChainComplex:
-    """The cochain complex without compact supports. The vertex is the only
-    compact face of a pointed fan, so only degree 0 is nonzero."""
-    module = fan.multitangent(p)
+def _vertex_complex(direction, fan: Fan, p: int, ring: RingTag) -> ChainComplex:
     v = fan.vertex_id
     degrees = list(range(fan.dim + 1))
     blocks = {q: [] for q in degrees}
-    blocks[0] = [Block(v, module.rank(v), 0)]
-    return ChainComplex("cohomological", ring, degrees, blocks, {})
+    blocks[0] = _layout([v], {v: fan.multitangent(p).rank(v)})
+    return ChainComplex(direction, ring, degrees, blocks, {})
+
+
+def plain_cochain_complex(fan: Fan, p: int, ring: RingTag) -> ChainComplex:
+    """The cochain complex without compact supports. The vertex is the only
+    compact face of a pointed fan, so only degree 0 is nonzero."""
+    return _vertex_complex("cohomological", fan, p, ring)
 
 
 def plain_chain_complex(fan: Fan, p: int, ring: RingTag) -> ChainComplex:
     """The chain complex over compact faces only: the trivial specialization
     of the Borel-Moore complex to the vertex."""
-    module = fan.multitangent(p)
-    v = fan.vertex_id
-    degrees = list(range(fan.dim + 1))
-    blocks = {q: [] for q in degrees}
-    blocks[0] = [Block(v, module.rank(v), 0)]
-    return ChainComplex("homological", ring, degrees, blocks, {})
+    return _vertex_complex("homological", fan, p, ring)
 
 
 def constant_compact_cochain(view, rank: int, ring: RingTag) -> ChainComplex:
@@ -223,7 +231,7 @@ def constant_compact_cochain(view, rank: int, ring: RingTag) -> ChainComplex:
     degrees = list(range(max(dims) + 1))
     by_dim = {q: [f for f in members if fan.faces[f].dim == q] for q in degrees}
     ranks = {f: rank for f in members}
-    blocks = {q: _layout(fan, by_dim[q], ranks) for q in degrees}
+    blocks = {q: _layout(by_dim[q], ranks) for q in degrees}
     diffs = {}
     member_set = set(members)
     for q in degrees[:-1]:
@@ -271,8 +279,8 @@ def star_top_boundary(fan: Fan, module, gamma: int):
     tops = [f for f in members if fan.faces[f].dim == fan.dim]
     subs = [f for f in members if fan.faces[f].dim == fan.dim - 1]
     ranks = {f: module.rank(f) for f in tops + subs}
-    blocks_top = _layout(fan, tops, ranks)
-    blocks_sub = _layout(fan, subs, ranks)
+    blocks_top = _layout(tops, ranks)
+    blocks_sub = _layout(subs, ranks)
     mat = _bm_differential(fan, module, fan.dim, blocks_top, blocks_sub)
     return blocks_top, mat
 
@@ -283,12 +291,13 @@ def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
     differential (weights play no role here).
 
     The star complex is assembled once. The degrees below the top go through
-    `homology_of_pair`. The top degree has no incoming boundary, so its
-    group is the kernel of the top differential: free, of the rank that the
-    Euler characteristic leaves. The alternating sum of the ranks of the
-    chain groups equals that of the homology groups, and all but the top
-    one are known, so the top differential is never eliminated. Its kernel
-    basis, the top entry's representatives, is `_star_kernel`, built only
+    `homology_of_pair`, which reduces the top differential once, as the
+    incoming map of degree d-1. The top degree has no incoming boundary, so
+    its group is the kernel of the top differential: free, of the rank that
+    the Euler characteristic leaves. The alternating sum of the ranks of the
+    chain groups equals that of the homology groups, and all but the top one
+    are known, so the top differential needs no second reduction. Its
+    kernel basis is owned by the top entry, a `_KernelEntry`, and built only
     when it is read.
     """
 
@@ -302,28 +311,17 @@ def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
         top_rank = cx.rank(d) + sum(
             (-1) ** (d - q) * (cx.rank(q) - e.group.free_rank) for q, e in entries.items()
         )
-        entries[d] = _KernelEntry(GroupPresentation(top_rank), fan, gamma, p, ring)
-        return HomologyTable(entries, cx.direction), cx.blocks[d], cx.boundary_out(d)
+        top = cx.boundary_out(d)
+        entries[d] = _KernelEntry(GroupPresentation(top_rank), top, ring)
+        return HomologyTable(entries, cx.direction), cx.blocks[d], top
 
     return fan.memo(("star", gamma, p, str(ring)), compute)
 
 
 def _star_kernel(fan: Fan, gamma: int, p: int, ring: RingTag) -> IntMatrix:
-    """The kernel basis of the top differential of a star from `_star`, as
-    the columns of a matrix: the saturated integer kernel lattice over Z and
-    Q (a saturated integer basis is also a Q-basis), the mod-p kernel over
-    F_p. Computed once per fan and ring, on first request: by the top
-    entry's representatives, the star row, or a cap whose verdict or
-    witness needs the coordinates of its columns."""
-
-    def compute():
-        top = _star(fan, gamma, p, ring)[2]
-        if ring.kind == "Fp":
-            cols = kernel_field(top, ring)
-            return IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
-        return kernel_lattice(top)
-
-    return fan.memo(("star_kernel", gamma, p, str(ring)), compute)
+    """The kernel basis of the top differential of a star from `_star`,
+    owned by the top entry of its table (see `_KernelEntry.kernel`)."""
+    return _star(fan, gamma, p, ring)[0].entries[fan.dim].kernel
 
 
 def star_homology_table(fan: Fan, gamma: int, p: int, ring: RingTag) -> HomologyTable:
@@ -346,45 +344,30 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
     d = fan.dim
     if d < 2:
         raise ValueError("the star-homology row needs a fan of dimension >= 2")
-    layouts = {fid: _star(fan, fid, d - p, ring)[1] for fid in range(fan.face_count())}
-    kernels = {fid: _star_kernel(fan, fid, d - p, ring) for fid in range(fan.face_count())}
+    stars = {fid: _star(fan, fid, d - p, ring) for fid in range(fan.face_count())}
+    kernels = {fid: table.entries[d].kernel for fid, (table, _, _) in stars.items()}
+    # Row offset of each top face in the top layout of each star.
+    top_rows = {fid: {b.face: b.offset for b in layout} for fid, (_, layout, _) in stars.items()}
 
     degrees = list(range(d + 1))
-    blocks = {}
-    for r in degrees:
-        blks = []
-        off = 0
-        for fid in fan.faces_of_dim(r):
-            blks.append(Block(fid, kernels[fid].cols, off))
-            off += kernels[fid].cols
-        blocks[r] = blks
+    ranks = {fid: kern.cols for fid, kern in kernels.items()}
+    blocks = {r: _layout(fan.faces_of_dim(r), ranks) for r in degrees}
+    offset = {b.face: b.offset for r in degrees for b in blocks[r]}
 
     diffs = {}
     for r in range(d):
-        rows = sum(b.rank for b in blocks[r + 1])
-        cols = sum(b.rank for b in blocks[r])
-        mat = IntMatrix(rows, cols)
+        mat = IntMatrix(sum(b.rank for b in blocks[r + 1]), sum(b.rank for b in blocks[r]))
         for bg in blocks[r]:
             gamma = bg.face
-            k_g = kernels[gamma]
-            src_layout = layouts[gamma]
             for kappa in fan.covers_of(gamma):
-                bk = next(b for b in blocks[r + 1] if b.face == kappa)
-                sign = fan.incidence_sign(gamma, kappa)
-                dst_layout = layouts[kappa]
-                dst_rows = sum(b.rank for b in dst_layout)
                 # Restrict each kernel column to the top faces above kappa.
-                restricted = IntMatrix(dst_rows, k_g.cols)
-                src_of = {b.face: b for b in src_layout}
-                for bd in dst_layout:
-                    bs = src_of[bd.face]
-                    for i in range(bd.rank):
-                        for j in range(k_g.cols):
-                            restricted.data[bd.offset + i][j] = sign * k_g.data[bs.offset + i][j]
+                rows = [top_rows[gamma][b.face] + i for b in stars[kappa][1] for i in range(b.rank)]
+                sign = fan.incidence_sign(gamma, kappa)
+                restricted = kernels[gamma].submatrix(rows, range(bg.rank)) * sign
                 coords = _coords_in_kernel(kernels[kappa], restricted.columns(), ring)
                 for j, col in enumerate(coords):
                     for i, x in enumerate(col):
-                        mat.data[bk.offset + i][bg.offset + j] = x
+                        mat.data[offset[kappa] + i][bg.offset + j] = x
         diffs[r] = mat
     return ChainComplex("cohomological", ring, degrees, blocks, diffs)
 

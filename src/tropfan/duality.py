@@ -16,7 +16,8 @@ from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm, prod
 
-from .complexes import _coords_in_kernel, _star, _star_kernel, star_homology_table, star_top_boundary
+from .complexes import _coords_in_kernel, _layout, _star, _star_kernel
+from .complexes import star_homology_table, star_top_boundary
 from .exact import RingTag, _rank_and_torsion, _unit_pivot_reduce
 from .fans import Fan, WeightedFan
 from .intmat import IntMatrix, SparseIntMatrix, det_int
@@ -83,10 +84,6 @@ def _rnorm(x, ring: RingTag):
     return x
 
 
-def _rzero(x, ring: RingTag):
-    return _rnorm(x, ring) == 0
-
-
 def _int_mat_times_ring_vec(mat: SparseIntMatrix, vec, ring: RingTag):
     return [_rnorm(sum(x * vec[j] for j, x in entry.items()), ring) for entry in mat.entries]
 
@@ -139,13 +136,13 @@ def balancing_failure(wf: WeightedFan):
     blocks_top, mat = star_top_boundary(fan, module, fan.vertex_id)
     ch = fundamental_chain(wf).vector(blocks_top)
     image = _int_mat_times_ring_vec(mat, ch, wf.ring)
-    if all(_rzero(x, wf.ring) for x in image):
+    if not any(image):
         return None
     # Locate the offending codimension-one face.
     offset = 0
     for beta in fan.faces_of_dim(fan.dim - 1):
         r = module.rank(beta)
-        if any(not _rzero(x, wf.ring) for x in image[offset : offset + r]):
+        if any(image[offset : offset + r]):
             return beta
         offset += r
     return fan.faces_of_dim(fan.dim - 1)[0]
@@ -192,7 +189,7 @@ def stars_balanced_check(wf: WeightedFan) -> bool:
     for gamma in range(fan.face_count()):
         blocks, mat = star_top_boundary(fan, module, gamma)
         image = _int_mat_times_ring_vec(mat, ch.vector(blocks), wf.ring)
-        if not all(_rzero(x, wf.ring) for x in image):
+        if any(image):
             raise AssertionError(f"star of face {gamma} lost the cycle condition")
     return True
 
@@ -312,13 +309,7 @@ def cap_chain_general(wf: WeightedFan, p: int, q: int):
         raise ValueError("degrees out of range")
     fdp = fan.multitangent(d - p)
     target_faces = fan.faces_of_dim(d - q)
-    from .complexes import Block
-
-    blocks = []
-    off = 0
-    for fid in target_faces:
-        blocks.append(Block(fid, fdp.rank(fid), off))
-        off += fdp.rank(fid)
+    blocks = _layout(target_faces, {fid: fdp.rank(fid) for fid in target_faces})
     if q != 0:
         return blocks, []
     fp = fan.multitangent(p)
@@ -326,7 +317,7 @@ def cap_chain_general(wf: WeightedFan, p: int, q: int):
     src_rank = fp.rank(gamma)
     columns = []
     for j in range(src_rank):
-        col = [0] * off
+        col = [0] * sum(b.rank for b in blocks)
         for b in blocks:
             tau = b.face
             for alpha in fan.maximal_cofaces(tau):

@@ -8,8 +8,8 @@ bases, which downstream code relies on for reproducible reports.
 
 The eliminations (`_row_hnf`, `_rref`, `intmat._gauss_jordan_ff`) reduce
 int rows in place by whole-row operations, so trailing columns ride along:
-`hermite_normal_form` appends an identity block to record its transform, and
-`hnf_basis`, which needs none, appends nothing.
+`hermite_normal_form` and `kernel_lattice` append an identity block to record
+the transform, and `hnf_basis`, which needs none, appends nothing.
 
 Ranks and solves over Z use the fraction-free elimination of `intmat`. Q runs
 on the same integer engine: the complexes here are complexes of free
@@ -334,14 +334,15 @@ def invariant_factors(m: IntMatrix):
 
 def kernel_lattice(m: IntMatrix) -> IntMatrix:
     """Canonical basis of {x in Z^cols : m x = 0}; automatically saturated."""
-    if m.rows == 0:
-        return IntMatrix.identity(m.cols)
-    h, u = hermite_normal_form(m)
-    zero_cols = [j for j in range(h.cols) if all(h.data[i][j] == 0 for i in range(h.rows))]
-    basis = u.submatrix(range(u.rows), zero_cols)
-    if basis.cols == 0:
-        return basis
-    return hnf_basis(basis)
+    # Row-reducing [m^T | I] gives rows [h | u] with h = u m^T and u
+    # unimodular; the u parts of the rows r.. where h vanishes are a basis of
+    # the kernel, and their HNF is the canonical one.
+    n = m.cols
+    rows = [col + [int(i == j) for i in range(n)] for j, col in enumerate(m.transpose().data)]
+    r = _row_hnf(rows, m.rows)
+    basis = [row[m.rows :] for row in rows[r:]]
+    _row_hnf(basis, n)
+    return IntMatrix._adopt(len(basis), n, basis).transpose()
 
 
 def saturate(b: IntMatrix) -> IntMatrix:

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd
 
 from .intmat import IntMatrix, _echelon_pivots, det_int
-from .exact import RingTag, hnf_basis, rank_over_q, saturate
+from .exact import RingTag, _pivots_over_q, hnf_basis, rank_over_q, saturate
 
 # The largest face count a fan may have. It admits the Bergman fan of U(5,7)
 # (3,151 faces) and bounds the cost of a document before any face is built.
@@ -257,15 +257,8 @@ def _orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
     if ray_matrix.cols == k:
         sub = ray_matrix  # k rays spanning rank k are independent
     else:
-        # First k independent ray columns, in index order.
-        chosen = []
-        for j in range(ray_matrix.cols):
-            cand = chosen + [j]
-            if rank_over_q(ray_matrix.submatrix(range(ray_matrix.rows), cand)) == len(cand):
-                chosen = cand
-            if len(chosen) == k:
-                break
-        sub = ray_matrix.submatrix(range(ray_matrix.rows), chosen)
+        # The pivot columns are the first k independent rays, in index order.
+        sub = ray_matrix.submatrix(range(ray_matrix.rows), _pivots_over_q(ray_matrix))
     if _coords_det_sign(basis, sub) < 0:
         flipped = basis.copy()
         for i in range(basis.rows):

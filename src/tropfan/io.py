@@ -82,8 +82,8 @@ def parse_fan(path_or_text) -> WeightedFan:
     if not isinstance(cones, list) or not cones:
         raise InputError("field 'maximal_cones' must be a nonempty list of index lists")
     for c in cones:
-        if not _is_index_list(c, len(rays)):
-            raise InputError(f"maximal cone {c!r} must list ray indices in range")
+        if not _is_index_list(c, len(rays)) or len(set(c)) != len(c):
+            raise InputError(f"maximal cone {c!r} must list distinct ray indices in range")
     ring_text = doc.get("ring", "Z")
     if not isinstance(ring_text, str):
         raise InputError("field 'ring' must be a string (Z, Q or Fp:<p>)")
@@ -108,6 +108,8 @@ def parse_fan(path_or_text) -> WeightedFan:
     weight_map = {}
     for c, w in zip(cones, weights):
         fid = fan.face_by_rays(c)
+        if fid in weight_map:
+            raise InputError(f"maximal cone {c!r} is listed twice")
         if isinstance(w, bool):
             raise InputError(f"weight {w!r} is not a number")
         if isinstance(w, str) and ring.kind != "Q":

@@ -13,6 +13,8 @@ from tropfan.exact import (
     RingTag,
     _rref,
     field_matrix,
+    hermite_normal_form,
+    hnf_basis,
     kernel_field,
     kernel_lattice,
     smith_normal_form,
@@ -409,6 +411,20 @@ def oracle_hnf_basis(m: IntMatrix) -> IntMatrix:
     return h.submatrix(range(h.rows), keep)
 
 
+def oracle_kernel_lattice(m: IntMatrix) -> IntMatrix:
+    """The saturated kernel basis as `kernel_lattice` built it before: the
+    zero columns of the column HNF H = m*U select the kernel columns of U,
+    and their HNF basis is the answer."""
+    if m.rows == 0:
+        return IntMatrix.identity(m.cols)
+    h, u = hermite_normal_form(m)
+    zero_cols = [j for j in range(h.cols) if all(h.data[i][j] == 0 for i in range(h.rows))]
+    basis = u.submatrix(range(u.rows), zero_cols)
+    if basis.cols == 0:
+        return basis
+    return hnf_basis(basis)
+
+
 def oracle_multitangent_bases(fan, p: int):
     """Face id -> basis of F_p: the HNF of the wedge powers of all maximal
     cofaces of the face, a maximal face keeping its own wedge power."""
@@ -682,8 +698,8 @@ def oracle_star_top(fan, gamma: int, p: int, ring: RingTag):
         tops = [f for f in members if fan.faces[f].dim == fan.dim]
         subs = [f for f in members if fan.faces[f].dim == fan.dim - 1]
         ranks = {f: module.rank(f) for f in tops + subs}
-        blocks_top = _layout(fan, tops, ranks)
-        top = oracle_bm_differential(fan, module, fan.dim, blocks_top, _layout(fan, subs, ranks))
+        blocks_top = _layout(tops, ranks)
+        top = oracle_bm_differential(fan, module, fan.dim, blocks_top, _layout(subs, ranks))
         if ring.kind == "Fp":
             cols = kernel_field(top, ring)
             kern = IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tropfan.exact as exact
@@ -25,6 +25,7 @@ from tropfan.exact import (
     hnf_basis,
     homology_of_pair,
     kernel_field,
+    kernel_lattice,
     rank_field,
     rank_over_q,
 )
@@ -41,6 +42,7 @@ from helpers import (
     oracle_hermite_normal_form,
     oracle_hnf_basis,
     oracle_kernel_field,
+    oracle_kernel_lattice,
     oracle_rank_field,
     oracle_rref_p,
     oracle_solve_exact,
@@ -128,6 +130,18 @@ def test_hermite_normal_form_matches_the_explicit_transform_oracle(m):
     h, u = hermite_normal_form(m)
     assert (h, u) == oracle_hermite_normal_form(m)
     assert hnf_basis(m) == oracle_hnf_basis(m)
+
+
+@PROPERTY
+@given(lattice_generators())
+@example(IntMatrix(0, 0))
+@example(IntMatrix(0, 3))
+@example(IntMatrix(3, 0))
+@example(IntMatrix(2, 3))
+def test_kernel_lattice_matches_the_hermite_transform_oracle(m):
+    kern = kernel_lattice(m)
+    assert kern == oracle_kernel_lattice(m)
+    assert (m * kern).data == [[0] * kern.cols for _ in range(m.rows)]
 
 
 @PROPERTY

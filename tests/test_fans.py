@@ -2,8 +2,9 @@
 
 import pytest
 
-from tropfan.exact import saturate
+from tropfan.exact import rank_over_q, saturate
 from tropfan.fans import build_fan
+from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
 from helpers import cross_fan, curve_fan
@@ -168,6 +169,30 @@ def test_explicit_faces_non_simplicial():
     assert fan.dim == 3
     top = fan.face_by_rays([0, 1, 2, 3])
     assert len(fan.facets_of(top)) == 4
+
+
+@pytest.mark.parametrize(
+    "apex, top_basis",
+    [
+        ((0, 0, 1, 1), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+        ((0, 0, -1, 1), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ],
+)
+def test_orientation_of_a_face_whose_first_rays_are_dependent(apex, top_basis):
+    # The cone over a square pyramid: the four base rays come first and span
+    # rank three only, so the orientation is read off rays 0, 1, 2 and the
+    # apex. The bases are pinned to those of the ray-by-ray rank search.
+    rays = [(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), apex]
+    base = [0, 1, 2, 3]
+    edges = [[0, 1], [1, 2], [2, 3], [0, 3], [0, 4], [1, 4], [2, 4], [3, 4]]
+    sides = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]
+    faces = [[]] + [[i] for i in range(5)] + edges + [base] + sides + [[0, 1, 2, 3, 4]]
+    fan = build_fan(4, rays, [[0, 1, 2, 3, 4]], explicit_faces=faces)
+    top = fan.faces[fan.face_by_rays([0, 1, 2, 3, 4])]
+    assert rank_over_q(IntMatrix.from_cols([list(rays[i]) for i in base], rows=4)) == 3
+    assert top.lattice_basis.data == top_basis
+    square = fan.faces[fan.face_by_rays(base)]
+    assert square.lattice_basis.data == [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]]
 
 
 def test_bergman_fans_are_balanced_with_unit_weight():

@@ -129,6 +129,22 @@ class TestParse:
         with pytest.raises(InputError, match="align"):
             parse_fan(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "cones, message",
+        [
+            ([[0, 0], [1], [2], [3]], r"maximal cone \[0, 0\] must list distinct ray indices"),
+            ([[0], [1], [2], [3], [0]], r"maximal cone \[0\] is listed twice"),
+        ],
+    )
+    def test_cone_listed_with_repeats(self, cones, message):
+        # Either would silently drop a weight: the cone [0, 0] read as [0],
+        # and the second weight of a cone listed twice overwrote the first.
+        doc = json.loads(fixtures.text("cross"))
+        doc["maximal_cones"] = cones
+        doc["weights"] = [1] * len(cones)
+        with pytest.raises(InputError, match=message):
+            parse_fan(json.dumps(doc))
+
     def test_explicit_faces_document(self):
         doc = {
             "ambient_rank": 3,
@@ -547,3 +563,73 @@ def test_cli_certificates_never_raise(doc):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     code = run_cli([command, "--fan", path, "--ring", ring])
                 assert code in (0, 1, 2), (command, ring, code)
+
+
+_FAN_COMMANDS = [
+    ["balance"],
+    ["homology"],
+    ["cohomology"],
+    ["tpd"],
+    ["local-tpd"],
+    ["euler"],
+    ["dim1"],
+    ["star-export", "--face", "0"],
+    ["star-row"],
+]
+
+
+@st.composite
+def _edited_fixture_documents(draw):
+    """A bundled fixture document with its structure edited: a ray, the ray
+    indices of a cone, an explicit face list, the ambient rank, the ring and
+    the weights. Many edits keep the document well formed, so the commands
+    also run to a verdict on fans that are not among the fixtures."""
+    doc = json.loads(fixtures.text(draw(st.sampled_from(fixtures.NAMES))))
+    rays, cones = doc["rays"], doc["maximal_cones"]
+    edits = draw(st.sets(st.sampled_from(["ray", "cone", "faces", "ambient"]), max_size=2))
+    if "ray" in edits:
+        i = draw(st.integers(0, len(rays) - 1))
+        rays[i] = draw(st.lists(st.integers(-3, 3), min_size=len(rays[i]), max_size=len(rays[i])))
+    if "cone" in edits:
+        cone = cones[draw(st.integers(0, len(cones) - 1))]
+        index = draw(st.integers(-1, len(rays)))
+        edit = draw(st.sampled_from(["add", "drop", "replace"]))
+        if edit == "add":
+            cone.append(index)
+        elif edit == "drop":
+            cone.pop()
+        else:
+            cone[draw(st.integers(0, len(cone) - 1))] = index
+    if "faces" in edits:
+        faces = sorted({s for c in cones for k in range(len(c) + 1) for s in combinations(c, k)})
+        if draw(st.booleans()):
+            faces.pop(draw(st.integers(0, len(faces) - 1)))
+        doc["faces"] = [list(f) for f in faces]
+    if "ambient" in edits:
+        ambient = draw(st.integers(0, 4))
+        doc["ambient_rank"] = ambient
+        if draw(st.booleans()):
+            doc["rays"] = [(r + [0] * ambient)[:ambient] for r in rays]
+    doc["ring"] = draw(st.sampled_from(["Z", "Q", "Fp:2", "Fp:3", "Fp:4"]))
+    weights = draw(st.sampled_from(["keep", "scale", "redraw"]))
+    if weights == "scale":
+        doc["weights"] = [draw(_NONZERO) * w for w in doc["weights"]]
+    elif weights == "redraw":
+        n = len(cones) + draw(st.integers(-1, 1))
+        doc["weights"] = draw(st.lists(_NONZERO, min_size=n, max_size=n))
+    return doc
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_edited_fixture_documents())
+def test_cli_survives_edited_fixture_structure(doc):
+    # Every fan command ends in a verdict (0 or 1) or an input error (2),
+    # whatever the rays, cones, faces, ambient rank, ring and weights.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fan.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in _FAN_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run_cli([command[0], "--fan", path] + command[1:])
+            assert code in (0, 1, 2), (command, code)

@@ -6,13 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from tropfan.duality import local_tpd_characterization
+from tropfan.complexes import _star, star_row_complex
+from tropfan.duality import is_local_tpd, local_tpd_characterization
 from tropfan.exact import hnf_basis, kernel_lattice
 from tropfan.intmat import IntMatrix, det_int, hstack_all
 from tropfan.matroids import Matroid, bergman_fan
 from tropfan.sheaves import build_multicotangent, build_multitangent, wedge_basis
 
-from helpers import convention_fans, cross_fan, curve_fan, oracle_multitangent_bases
+from helpers import F3, Z, convention_fans, cross_fan, curve_fan, oracle_multitangent_bases, weighted
 
 
 def test_wedge_basis_degree_zero():
@@ -163,6 +164,22 @@ def test_fan_and_modules_freed_without_cycle_collector():
         refs = [weakref.ref(wf), weakref.ref(wf.fan)]
         del wf
         assert [r() for r in refs] == [None, None]
+        # Star tables own their kernel bases and must not refer back to the
+        # fan: build them through the star row over Z and F_3, and through
+        # the witness of a failing cap over Z.
+        wf = bergman_fan(Matroid.uniform(3, 4))
+        for ring in (Z, F3):
+            for p in range(wf.fan.dim + 1):
+                star_row_complex(wf, p, ring)
+        doubled = weighted(cross_fan(), [2, 2, 2, 2])
+        ray = doubled.fan.faces_of_dim(1)[0]
+        assert is_local_tpd(doubled).per_face[ray].failures()[0].witness == "determinant 2"
+        tops = [_star(wf.fan, wf.fan.vertex_id, 1, F3)[0].entries[2]]
+        tops += [_star(doubled.fan, ray, q, Z)[0].entries[1] for q in (0, 1)]
+        assert all("kernel" in vars(top) for top in tops)
+        refs = [weakref.ref(x) for x in (wf, wf.fan, doubled, doubled.fan)]
+        del wf, doubled, tops
+        assert [r() for r in refs] == [None] * 4
     finally:
         gc.enable()
 
