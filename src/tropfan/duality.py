@@ -233,8 +233,10 @@ class CapResult:
 
         K is saturated, so C and X have the same rank and the same invariant
         factors. Over a field X is invertible iff C has full column rank.
-        Over Z it is when each column of C yields a unit pivot under
-        unit-pivot reduction; otherwise the determinant of X decides."""
+        Over Z it is not when the entries of C have a common factor: X = L C
+        for an integer left inverse L of K, so that factor divides det X.
+        Otherwise it is when each column of C yields a unit pivot under
+        unit-pivot reduction, and failing that the determinant of X decides."""
         if self.domain_rank != self.top_rank:
             return False
         if self.domain_rank == 0:
@@ -245,6 +247,8 @@ class CapResult:
             rows.append({i: int(x * scale) for i, x in enumerate(col) if x})
         if self.ring.is_field:
             return _rank_and_torsion(rows, self.ring.p)[0] == self.domain_rank
+        if gcd(*(x for row in rows for x in row.values())) != 1:
+            return False
         return _unit_pivot_reduce(rows)[0] == self.domain_rank or self.ring.is_unit(self.determinant)
 
     def failure_witness(self):

@@ -7,6 +7,13 @@ reproduce the usual boundary conventions for balanced fans. Incidence between
 a facet and a face is the sign of the determinant expressing
 [outward-vector | basis(facet)] in basis(face); the square of the resulting
 boundary operator vanishes, and construction verifies that identity.
+
+On a simplicial face (as many rays as its dimension) with rays r_0 < ... <
+r_{k-1} this sign needs no linear algebra: the facet without r_j has sign
+(-1)^j. Both bases are oriented by their rays in index order, and the outward
+vector is r_j itself, so the determinant is that of [r_j, r_0, ..., r_{k-1}
+without r_j] in the face's basis, and moving r_j back to position j takes j
+transpositions. Only non-simplicial faces solve for their signs.
 """
 
 from __future__ import annotations
@@ -374,13 +381,21 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     if sum(1 for s in face_sets if cones[s].dim == 0) != 1:
         raise ValueError("fan must have a unique vertex")
 
-    # A facet is one dimension down, so each face scans only that dimension.
+    # A simplicial face's facets are its ray tuple with one ray dropped, and
+    # the facet without s[j] has sign (-1)^j (see the module docstring).
+    # Any other face scans the faces one dimension down for its facets.
     by_dim = {}
     for t in face_sets:
         by_dim.setdefault(cones[t].dim, []).append((t, set(t)))
     covering = {}
     for s in face_sets:
         sig = cones[s]
+        if len(s) == sig.dim:
+            for j in range(len(s)):
+                t = s[:j] + s[j + 1:]
+                if t in cones:
+                    covering[(id_of[t], id_of[s])] = -1 if j % 2 else 1
+            continue
         s_rays = set(s)
         for t, t_rays in by_dim.get(sig.dim - 1, ()):
             if t_rays <= s_rays:

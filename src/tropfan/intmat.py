@@ -17,6 +17,7 @@ such as a canonical HNF basis, is forward substitution instead
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 
@@ -146,13 +147,7 @@ class IntMatrix:
         return [sum(self.data[i][j] * vec[j] for j in range(self.cols)) for i in range(self.rows)]
 
     def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return IntMatrix._adopt(
-            self.rows,
-            self.cols + other.cols,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-        )
+        return hstack_all([self, other])
 
 
 class SparseIntMatrix(IntMatrix):
@@ -181,13 +176,15 @@ class SparseIntMatrix(IntMatrix):
 
 
 def hstack_all(mats):
-    """Concatenate matrices side by side; all must share a row count."""
+    """Concatenate matrices side by side; all must share a row count. Each
+    row is built in one pass."""
     if not mats:
         raise ValueError("empty hstack")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
+    rows = mats[0].rows
+    if any(m.rows != rows for m in mats):
+        raise ValueError("row mismatch in hstack")
+    data = [list(chain.from_iterable(parts)) for parts in zip(*(m.data for m in mats))]
+    return IntMatrix._adopt(rows, sum(m.cols for m in mats), data)
 
 
 def det_int(m: IntMatrix) -> int:

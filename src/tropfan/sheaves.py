@@ -63,7 +63,10 @@ class ModuleAssignment:
     basis of the sum of its covers' modules (see `build_multitangent`).
     Cosheaf structure matrices point downward: inclusion(sigma, tau) writes
     the basis of F_p(sigma) in the basis of F_p(tau) for tau below sigma.
-    The dual sheaf's restriction(tau, sigma) is its transpose.
+    The maps of covering pairs are recorded by `build_multitangent`, which
+    solves for them together with the face's basis; any other pair is
+    solved on its first read. The dual sheaf's restriction(tau, sigma) is
+    its transpose.
     """
 
     def __init__(self, fan, p, variance, basis):
@@ -84,7 +87,9 @@ class ModuleAssignment:
 
     def inclusion(self, sigma, tau) -> IntMatrix:
         """Cosheaf map F_p(sigma) -> F_p(tau) for tau below sigma, in the
-        stored bases. Integral because the modules are nested subgroups."""
+        stored bases. Integral because the modules are nested subgroups.
+        A covering pair's map was recorded when the module was built; any
+        other pair is solved here once and kept."""
         key = (sigma, tau)
         if key not in self._structure:
             if tau == sigma:
@@ -114,19 +119,33 @@ def build_multitangent(fan, p: int) -> ModuleAssignment:
     from the top down: a maximal face keeps the wedge power of its oriented
     basis (so the top-degree module is generated by the orientation
     generator, and dual coordinates there are wedge coordinates), and every
-    other face gets the canonical HNF basis of its covers' bases together.
+    other face gets the canonical HNF basis H of its covers' bases together,
+    G = [B_1 | ... | B_k]. One `solve_int` of H X = G, which checks that
+    H X = G exactly, then gives each cover's inclusion as its columns of X.
     """
     if p < 0 or p > fan.dim:
         raise ValueError(f"degree {p} out of range for a {fan.dim}-dimensional fan")
     basis = {}
+    maps = {}
     # Face ids grow with dimension (see `build_fan`), so covers come first.
     for fid in reversed(range(fan.face_count())):
         covers = fan.covers_of(fid)
-        if covers:
-            basis[fid] = hnf_basis(hstack_all([basis[c] for c in covers]))
-        else:
+        if not covers:
             basis[fid] = wedge_basis(fan.faces[fid].lattice_basis, p)
-    return ModuleAssignment(fan, p, "cosheaf", basis)
+            continue
+        stacked = hstack_all([basis[c] for c in covers])
+        h = basis[fid] = hnf_basis(stacked)
+        # One exact solve H X = G gives every cover's map into this face:
+        # the columns of X that belong to that cover.
+        x = solve_int(h, stacked).data
+        start = 0
+        for c in covers:
+            end = start + basis[c].cols
+            maps[(c, fid)] = IntMatrix._adopt(h.cols, end - start, [row[start:end] for row in x])
+            start = end
+    mod = ModuleAssignment(fan, p, "cosheaf", basis)
+    mod._structure.update(maps)
+    return mod
 
 
 def build_multicotangent(fan, p: int) -> ModuleAssignment:

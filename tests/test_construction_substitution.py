@@ -3,10 +3,11 @@
 Every basis that construction solves against is a canonical column HNF (up
 to the sign of an oriented face's last column), so `solve_int` substitutes
 forward instead of eliminating; a face whose rays' HNF has unit pivots skips
-saturation; a face with as many rays as its rank orients on all of them; and
-`wedge_basis` builds its minors by Laplace expansion. The oracles in
-helpers.py are the previous code: the fraction-free solve, saturation of
-every face, prefix rank tests, one determinant per minor, and the rank-based
+saturation; a face with as many rays as its rank orients on all of them and
+takes its incidence signs from ray positions; and `wedge_basis` builds its
+minors by Laplace expansion. The oracles in helpers.py are the previous
+code: the fraction-free solve, saturation of every face, prefix rank tests,
+solved incidence signs, one determinant per minor, and the rank-based
 matroid closure. Solutions of full-column-rank systems are unique and HNF is
 canonical, so the results must agree exactly, errors included.
 """
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import tropfan.fans as fans
 import tropfan.intmat as intmat
+from tropfan import fixtures
 from tropfan.exact import lattice_contains
 from tropfan.fans import _face_basis, _orient_basis, build_fan
 from tropfan.intmat import IntMatrix, solve_int
@@ -37,6 +39,7 @@ from helpers import (
     oracle_solve_int,
     oracle_solve_int_elimination,
     oracle_wedge_basis,
+    square_cone_fan,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -167,6 +170,14 @@ def _rays_matrix(fan, cone):
     return IntMatrix.from_cols([list(fan.rays[r]) for r in cone.ray_indices], rows=fan.ambient_rank)
 
 
+def _incidence_matrix(fan, t, s):
+    """[u | basis(tau)], u the sum of sigma's rays not in tau."""
+    tau, sigma = fan.faces[t], fan.faces[s]
+    extra = [r for r in sigma.ray_indices if r not in tau.ray_indices]
+    u = [sum(fan.rays[r][i] for r in extra) for i in range(fan.ambient_rank)]
+    return IntMatrix.from_cols([u] + tau.lattice_basis.columns(), rows=fan.ambient_rank)
+
+
 @pytest.mark.parametrize("name,fan", CONSTRUCTION_FANS, ids=[n for n, _ in CONSTRUCTION_FANS])
 def test_face_bases_orientations_and_signs_match_oracle(name, fan):
     for cone in fan.faces:
@@ -176,10 +187,8 @@ def test_face_bases_orientations_and_signs_match_oracle(name, fan):
         assert _orient_basis(basis, mat) == oracle_orient_basis(basis, mat)
         assert cone.lattice_basis == oracle_orient_basis(basis, mat)
     for (t, s), sign in fan.covering.items():
-        tau, sigma = fan.faces[t], fan.faces[s]
-        extra = [r for r in sigma.ray_indices if r not in tau.ray_indices]
-        u = [sum(fan.rays[r][i] for r in extra) for i in range(fan.ambient_rank)]
-        mat = IntMatrix.from_cols([u] + tau.lattice_basis.columns(), rows=fan.ambient_rank)
+        sigma = fan.faces[s]
+        mat = _incidence_matrix(fan, t, s)
         assert sign == oracle_coords_det_sign(sigma.lattice_basis, mat)
         # Either orientation of the basis: its last column flipped or not.
         flipped = sigma.lattice_basis.copy()
@@ -221,6 +230,48 @@ def test_random_cone_bases_match_oracle(cone):
     for c in fan.faces:
         mat = _rays_matrix(fan, c)
         assert c.lattice_basis == oracle_orient_basis(oracle_face_basis(mat), mat)
+    # The signs come from ray positions; the oracle solves for them.
+    for (t, s), sign in fan.covering.items():
+        assert sign == oracle_coords_det_sign(fan.faces[s].lattice_basis, _incidence_matrix(fan, t, s))
+
+
+def test_incidence_signs_are_solved_only_on_non_simplicial_faces(monkeypatch):
+    real = fans._incidence_sign
+
+    def refuse(rays, tau, sigma):
+        raise AssertionError("solved a simplicial incidence sign")
+
+    monkeypatch.setattr(fans, "_incidence_sign", refuse)
+    for name in fixtures.NAMES:
+        fixtures.load(name)
+    for m in (Matroid.uniform(3, 5), graphic_k4(), Matroid.uniform(4, 5)):
+        bergman_fan(m)
+    build_fan(3, [(1, 0, 0), (1, 2, 0), (1, 1, 3)], [[0, 1, 2]])
+
+    solved = []
+
+    def record(rays, tau, sigma):
+        solved.append(sigma)
+        return real(rays, tau, sigma)
+
+    monkeypatch.setattr(fans, "_incidence_sign", record)
+    fan = square_cone_fan()
+    # The square is the one non-simplicial face; its four facets are solved.
+    assert [c.ray_indices for c in solved] == [(0, 1, 2, 3)] * 4
+    assert len(fan.covering) == 16
+
+
+def test_unit_cone_takes_determinants_only_to_orient(monkeypatch):
+    # 12 unit rays, 4,096 faces: one determinant orients each face but the
+    # vertex, and the 24,576 incidence signs take none.
+    calls = []
+    real = fans.det_int
+    monkeypatch.setattr(fans, "det_int", lambda m: calls.append(1) or real(m))
+    n = 12
+    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    fan = build_fan(n, rays, [list(range(n))])
+    assert fan.face_count() == 4096 and len(fan.covering) == 24576
+    assert len(calls) == 4095
 
 
 def _count_saturations(monkeypatch):

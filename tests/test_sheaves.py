@@ -13,7 +13,16 @@ from tropfan.intmat import IntMatrix, det_int, hstack_all
 from tropfan.matroids import Matroid, bergman_fan
 from tropfan.sheaves import build_multicotangent, build_multitangent, wedge_basis
 
-from helpers import F3, Z, convention_fans, cross_fan, curve_fan, oracle_multitangent_bases, weighted
+from helpers import (
+    F3,
+    Z,
+    convention_fans,
+    cross_fan,
+    curve_fan,
+    oracle_multitangent_bases,
+    oracle_solve_int,
+    weighted,
+)
 
 
 def test_wedge_basis_degree_zero():
@@ -197,6 +206,17 @@ def test_cover_recursion_matches_the_all_maximal_cofaces_sum():
     for name, fan in convention_fans():
         for p in range(fan.dim + 1):
             assert build_multitangent(fan, p).basis == oracle_multitangent_bases(fan, p), (name, p)
+
+
+def test_module_build_records_exactly_the_cover_maps():
+    # One solve per face gives its covers' maps; each equals the map solved
+    # on its own, and no pair other than a covering pair is recorded.
+    for name, fan in convention_fans():
+        for p in range(fan.dim + 1):
+            mod = build_multitangent(fan, p)
+            assert set(mod._structure) == {(s, t) for t, s in fan.covering}, (name, p)
+            for (s, t), m in mod._structure.items():
+                assert m == oracle_solve_int(mod.basis[t], mod.basis[s]), (name, p, s, t)
 
 
 def test_wedge_basis_runs_only_at_faces_without_cover(monkeypatch):

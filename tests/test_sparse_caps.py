@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropfan.complexes as complexes
+import tropfan.duality as duality
 import tropfan.exact as exact
 from tropfan import fixtures
 from tropfan.complexes import _star, bm_chain_complex, star_homology_table
@@ -190,3 +191,17 @@ def test_caps_without_enough_unit_pivots_fall_back_to_the_determinant(columns, o
     assert cap.is_isomorphism() == old.is_isomorphism() == ok
     if not ok:
         assert cap.failure_witness() == old.failure_witness()
+
+
+@pytest.mark.parametrize("columns", [[[2, 4], [6, 2]], [[0, 0], [0, 0]], [[3, 0], [0, 3]]])
+def test_caps_with_a_common_factor_fail_before_reduction(monkeypatch, columns):
+    def refuse(rows):
+        raise AssertionError("reduced a cap whose entries share a factor")
+
+    monkeypatch.setattr(duality, "_unit_pivot_reduce", refuse)
+    kernel = IntMatrix.identity(2)
+    cap = CapResult(0, 0, Z, 2, [], columns, 2, None)
+    cap.kernel_basis = kernel
+    old = OracleCapResult(0, 0, Z, 2, [], columns, kernel, columns)
+    assert not cap.is_isomorphism() and not old.is_isomorphism()
+    assert cap.failure_witness() == old.failure_witness()
