@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from .intmat import IntMatrix, _echelon_pivots, det_int
 from .exact import RingTag, _pivots_over_q, hnf_basis, rank_over_q, saturate
@@ -28,6 +28,13 @@ from .exact import RingTag, _pivots_over_q, hnf_basis, rank_over_q, saturate
 # The largest face count a fan may have. It admits the Bergman fan of U(5,7)
 # (3,151 faces) and bounds the cost of a document before any face is built.
 MAX_FACES = 5000
+
+# The largest rank a fan's wedge modules may have: max over p <= dim of
+# C(ambient_rank, p), the rank of the p-th exterior power of the ambient
+# lattice, which the multi-tangent modules of degree p live in. It admits
+# every Bergman fan within MAX_FACES and a simplicial cone on 12 unit rays
+# (C(12, 6) = 924); six rays in rank 60 would need C(60, 6) = 50 M rows.
+MAX_WEDGE_RANK = 1000
 
 
 def _coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
@@ -292,6 +299,15 @@ def _too_many_faces(count):
     return ValueError(f"fan has more than {MAX_FACES} faces ({count} or more)")
 
 
+def _check_wedge_rank(ambient_rank, dim):
+    p = min(dim, ambient_rank // 2)
+    if comb(ambient_rank, p) > MAX_WEDGE_RANK:
+        raise ValueError(
+            f"wedge modules too large: a {dim}-dimensional cone in rank {ambient_rank} needs "
+            f"C({ambient_rank}, {p}) = {comb(ambient_rank, p)} coordinates (the limit is {MAX_WEDGE_RANK})"
+        )
+
+
 def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     """Build and validate a fan from rays and maximal cones.
 
@@ -300,7 +316,8 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     the full face list (as ray-index sets); the pairwise-intersection axiom is
     not re-verified geometrically, but incidence consistency (boundary squared
     = 0) always is, and so is that every face below the top dimension lies in
-    a face one dimension up. A fan may have at most MAX_FACES faces.
+    a face one dimension up. A fan may have at most MAX_FACES faces, and
+    its wedge modules at most MAX_WEDGE_RANK coordinates.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     for r in rays:
@@ -328,9 +345,10 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
                 raise ValueError(
                     f"maximal cone {s} is not simplicial; supply explicit_faces"
                 )
-            # All subsets, vertex included; the bound is checked first.
+            # All subsets, vertex included; the bounds are checked first.
             if 2 ** len(s) > MAX_FACES:
                 raise _too_many_faces(2 ** len(s))
+            _check_wedge_rank(ambient_rank, len(s))
             for k in range(len(s) + 1):
                 for sub in combinations(s, k):
                     face_sets.add(sub)
@@ -344,6 +362,10 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
         for s in maximal_sets:
             if s not in face_sets:
                 raise ValueError(f"maximal cone {s} missing from explicit face list")
+        # Every maximal cone of a fan has the fan's dimension as its rank.
+        widest = max(maximal_sets, key=len, default=())
+        mat = IntMatrix.from_cols([list(rays[i]) for i in widest], rows=ambient_rank)
+        _check_wedge_rank(ambient_rank, rank_over_q(mat))
     face_sets.add(())
 
     cones = {}

@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import copy
 import weakref
+from functools import lru_cache
 from itertools import combinations
 
 from .exact import hnf_basis
 from .intmat import IntMatrix, hstack_all, solve_int
+
+
+@lru_cache(maxsize=128)
+def _row_masks(n: int, s: int):
+    """The s-subsets of range(n) in lex order, each with its bit mask."""
+    return tuple((rows, sum(1 << i for i in rows)) for rows in combinations(range(n), s))
 
 
 def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
@@ -31,14 +38,12 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
         raise ValueError(f"wedge degree {p} out of range for rank {r}")
     a = basis.data
 
-    def row_sets(s):
-        return [(rows, sum(1 << i for i in rows)) for rows in combinations(range(n), s)]
-
-    # minors[J][mask]: the minor on columns J and the rows in the bit mask.
+    # minors[J][mask]: the minor on columns J and the rows in the bit mask,
+    # with the masks in the lex order of their row subsets.
     minors = {(): {0: 1}}
     for s in range(1, p + 1):
         smaller, minors = minors, {}
-        subsets = row_sets(s)
+        subsets = _row_masks(n, s)
         for cols in combinations(range(r), s):
             below, c = smaller[cols[:-1]], cols[-1]
             col = minors[cols] = {}
@@ -50,9 +55,8 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
                         total += sign * a[i][c] * below[mask ^ (1 << i)]
                     sign = -sign
                 col[mask] = total
-    cols = list(combinations(range(r), p))
-    data = [[minors[J][mask] for J in cols] for _, mask in row_sets(p)]
-    return IntMatrix._adopt(len(data), len(cols), data)
+    data = [list(row) for row in zip(*(col.values() for col in minors.values()))]
+    return IntMatrix._adopt(len(data), len(minors), data)
 
 
 class ModuleAssignment:
@@ -133,6 +137,12 @@ def build_multitangent(fan, p: int) -> ModuleAssignment:
         if not covers:
             basis[fid] = wedge_basis(fan.faces[fid].lattice_basis, p)
             continue
+        # A largest cover with covers of its own goes first: its basis is a
+        # canonical HNF already, so its columns enter the HNF unreduced.
+        inner = [c for c in covers if fan.covers_of(c)]
+        if inner:
+            first = max(inner, key=lambda c: basis[c].cols)
+            covers = [first] + [c for c in covers if c != first]
         stacked = hstack_all([basis[c] for c in covers])
         h = basis[fid] = hnf_basis(stacked)
         # One exact solve H X = G gives every cover's map into this face:

@@ -8,6 +8,7 @@ their transforms are unique for the pivot rules used, so the kernels must
 agree with the oracles exactly, errors included.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from tropfan.exact import (
     rank_over_q,
 )
 from tropfan.fans import WeightedFan
-from tropfan.intmat import IntMatrix, solve_exact, solve_int
+from tropfan.intmat import IntMatrix, det_int, solve_exact, solve_int
 from tropfan.io import parse_fan
 from tropfan.matroids import Matroid, bergman_fan
 
@@ -44,6 +45,7 @@ from helpers import (
     oracle_kernel_field,
     oracle_kernel_lattice,
     oracle_rank_field,
+    oracle_row_hnf,
     oracle_rref_p,
     oracle_solve_exact,
     oracle_solve_field,
@@ -142,6 +144,83 @@ def test_kernel_lattice_matches_the_hermite_transform_oracle(m):
     kern = kernel_lattice(m)
     assert kern == oracle_kernel_lattice(m)
     assert (m * kern).data == [[0] * kern.cols for _ in range(m.rows)]
+
+
+@st.composite
+def hnf_inputs(draw):
+    """Integer matrices up to 40 x 40 for the row HNF: dense ones with
+    entries up to +-50, sparse ones, and products through a small inner
+    dimension, whose rows repeat their lattice. The entries come from a
+    seeded generator, so that a large matrix is one draw."""
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = draw(st.sampled_from([1, 3, 50]))
+    kind = draw(st.sampled_from(["dense", "sparse", "product"]))
+
+    def entries(r, c, density):
+        def entry():
+            return rng.randint(-bound, bound) if rng.random() < density else 0
+
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    if kind == "product":
+        inner = rng.randint(0, 4)
+        a = IntMatrix(rows, inner, entries(rows, inner, 1.0))
+        return a * IntMatrix(inner, cols, entries(inner, cols, 1.0))
+    return IntMatrix(rows, cols, entries(rows, cols, 1.0 if kind == "dense" else 0.15))
+
+
+@PROPERTY
+@given(hnf_inputs(), st.booleans())
+@example(IntMatrix(0, 0), False)
+@example(IntMatrix(0, 3), False)
+@example(IntMatrix(3, 0), False)
+@example(IntMatrix(0, 0), True)
+@example(IntMatrix(0, 3), True)
+@example(IntMatrix(3, 0), True)
+def test_row_hnf_matches_the_euclidean_oracle(m, ride):
+    # Insertion and Euclid reach the same canonical H: the same rank, the
+    # same pivot rows and zero rows below them. With identity columns riding
+    # along, the trailing block is a unimodular U with U*m = H.
+    h, _ = oracle_row_hnf(m)
+    rows = [row + [int(i == j) for j in range(m.rows)] if ride else row[:] for i, row in enumerate(m.data)]
+    r = exact._row_hnf(rows, m.cols)
+    assert r == sum(1 for row in h.data if any(row))
+    assert [row[: m.cols] for row in rows] == h.data
+    if ride:
+        u = IntMatrix(m.rows, m.rows, [row[m.cols :] for row in rows])
+        assert (u * m).data == h.data
+        assert det_int(u) in (1, -1)
+
+
+class _CountedRow(list):
+    """A row that counts how often its entries are read."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountedRow.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        _CountedRow.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_row_hnf_stops_at_the_full_lattice(m, monkeypatch):
+    # m rows with unit pivots generate Z^m, so the rows after them are never
+    # read, and the result is still the oracle's: the identity, then zero rows.
+    monkeypatch.setattr(_CountedRow, "reads", 0)
+    rng = random.Random(m)
+    units = [[0] * i + [1] + [rng.randint(-9, 9) for _ in range(m - i - 1)] for i in range(m)]
+    rng.shuffle(units)
+    rest = [[rng.randint(-50, 50) for _ in range(m)] for _ in range(2 * m)]
+    rows = [row[:] for row in units] + [_CountedRow(row) for row in rest]
+    assert exact._row_hnf(rows, m) == m
+    assert _CountedRow.reads == 0
+    h, _ = oracle_row_hnf(IntMatrix(3 * m, m, units + rest))
+    assert rows == h.data == IntMatrix.identity(m).data + [[0] * m for _ in range(2 * m)]
 
 
 @PROPERTY

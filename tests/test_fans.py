@@ -1,5 +1,7 @@
 """Fan construction, incidence signs, stars, cones, and their invariants."""
 
+from itertools import combinations
+
 import pytest
 
 from tropfan.exact import rank_over_q, saturate
@@ -218,6 +220,19 @@ def test_face_bound_is_checked_before_the_subsets_are_enumerated(monkeypatch):
     faces = [[], [0], [1], [2], [3], [0, 1], [1, 2], [2, 3], [0, 3], [0, 1, 2, 3]]
     with pytest.raises(ValueError, match="more than 8 faces \\(10 or more\\)"):
         build_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [[0, 1, 2, 3]], explicit_faces=faces)
+
+
+def test_wedge_rank_bound_is_checked_before_the_faces_are_built():
+    wide = [tuple(int(i == j) for j in range(60)) for i in range(6)]
+    with pytest.raises(ValueError, match=r"6-dimensional cone in rank 60 needs C\(60, 6\) = 50063860"):
+        build_fan(60, wide, [range(6)])
+    faces = [list(c) for k in range(7) for c in combinations(range(6), k)]
+    with pytest.raises(ValueError, match=r"the limit is 1000"):
+        build_fan(60, wide, [range(6)], explicit_faces=faces)
+    # A 6-dimensional cone in rank 12 needs C(12, 6) = 924 coordinates, the
+    # widest degree of the simplicial cone on 12 unit rays, and is admitted.
+    unit = [tuple(int(i == j) for j in range(12)) for i in range(6)]
+    assert build_fan(12, unit, [range(6)]).face_count() == 64
 
 
 def test_explicit_faces_must_include_every_intermediate_face():

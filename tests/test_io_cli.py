@@ -499,6 +499,22 @@ class TestCliRejectsUnboundedOrIncompleteInput:
         captured = capsys.readouterr()
         assert captured.err == "error: matroid has more than 1000 bases\n" and not captured.out
 
+    def test_cone_in_a_wide_ambient_lattice_exits_two_quickly(self, tmp_path, capsys):
+        # Six unit rays in rank 60 and one cone, about 1 KB. Its degree-6
+        # modules would have C(60, 6) = 50,063,860 rows; `homology` ran for
+        # more than 30 s before the wedge-rank bound.
+        rays = [[int(i == j) for j in range(60)] for i in range(6)]
+        doc = {"ambient_rank": 60, "rays": rays, "maximal_cones": [list(range(6))], "weights": [1]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert len(path.read_text()) < 1200
+        start = time.perf_counter()
+        assert run_cli(["homology", "--fan", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: wedge modules too large") and "C(60, 6) = 50063860" in captured.err
+        assert captured.err.count("\n") == 1 and not captured.out
+
     @pytest.mark.parametrize(
         "command, flag, text",
         [

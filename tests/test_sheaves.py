@@ -219,6 +219,24 @@ def test_module_build_records_exactly_the_cover_maps():
                 assert m == oracle_solve_int(mod.basis[t], mod.basis[s]), (name, p, s, t)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_module_build_on_larger_bergman_fans_matches_the_oracles(n):
+    # The two tests above on U(3,n), beyond `convention_fans()`: at the
+    # vertex the modules of degree 1 and 2 are the whole wedge power of
+    # Z^(n-1), stacked from the modules of all n + C(n, 2) rays, so the HNF
+    # takes its full-lattice exit.
+    # The bases are the HNF of all maximal cofaces' wedge powers, and
+    # exactly the covering pairs' maps are recorded, each equal to its own
+    # solve.
+    fan = bergman_fan(Matroid.uniform(3, n)).fan
+    for p in range(fan.dim + 1):
+        mod = build_multitangent(fan, p)
+        assert mod.basis == oracle_multitangent_bases(fan, p), p
+        assert set(mod._structure) == {(s, t) for t, s in fan.covering}, p
+        for (s, t), m in mod._structure.items():
+            assert m == oracle_solve_int(mod.basis[t], mod.basis[s]), (p, s, t)
+
+
 def test_wedge_basis_runs_only_at_faces_without_cover(monkeypatch):
     import tropfan.sheaves as sheaves
 
