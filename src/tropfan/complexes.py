@@ -290,9 +290,17 @@ def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
     homology table, the block layout of its top degree, and its top
     differential (weights play no role here).
 
-    The star complex is assembled once. The degrees below the top go through
-    `homology_of_pair`, which reduces the top differential once, as the
-    incoming map of degree d-1. The top degree has no incoming boundary, so
+    The star complex is assembled once. Its lowest degree, dim gamma, is
+    acyclic whenever it lies below the top: the map into it is the sum of
+    the signed inclusions of gamma's covers, and `build_multitangent` makes
+    F_p(gamma) exactly the sum of its covers' modules (one `solve_int`
+    proves H X = G for the HNF basis H of the stacked cover bases G). So the
+    map is onto over Z, hence over Q and every F_p, and the group is 0.
+    Every non-top face has covers: `build_fan` rejects fans that are not
+    pure dimensional, so it lies in a top face. The degrees strictly
+    between go through `homology_of_pair`, which reduces the top
+    differential once, as the incoming map of degree d-1. The top degree
+    has no incoming boundary, so
     its group is the kernel of the top differential: free, of the rank that
     the Euler characteristic leaves. The alternating sum of the ranks of the
     chain groups equals that of the homology groups, and all but the top one
@@ -304,10 +312,10 @@ def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
     def compute():
         cx = bm_chain_complex(fan.star_view(gamma), p, ring)
         d = fan.dim
-        entries = {
-            q: HomologyEntry(*homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), ring))
-            for q in cx.degrees[:-1]
-        }
+        below = cx.degrees[:-1]
+        entries = {q: HomologyEntry(GroupPresentation(0), []) for q in below[:1]}
+        for q in below[1:]:
+            entries[q] = HomologyEntry(*homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), ring))
         top_rank = cx.rank(d) + sum(
             (-1) ** (d - q) * (cx.rank(q) - e.group.free_rank) for q, e in entries.items()
         )
@@ -325,9 +333,10 @@ def _star_kernel(fan: Fan, gamma: int, p: int, ring: RingTag) -> IntMatrix:
 
 
 def star_homology_table(fan: Fan, gamma: int, p: int, ring: RingTag) -> HomologyTable:
-    """Memoized homology of the star complex, read from `_star`: only the
-    degrees below the top are eliminated, and the top group is read off the
-    Euler characteristic."""
+    """Memoized homology of the star complex, read from `_star`: the lowest
+    degree is 0 by construction, only the degrees strictly between it and
+    the top are eliminated, and the top group is read off the Euler
+    characteristic."""
     return _star(fan, gamma, p, ring)[0]
 
 

@@ -262,8 +262,12 @@ def _cap_block_matrix(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
     dual coordinates at gamma into the stored degree-(d-p) basis at alpha.
     The stored bases at a top face are its wedge bases, so the contraction
     is one matrix per p, shared by every alpha."""
-    contr = fan.memo(("contr", p), lambda: _contraction_against_top(fan.dim, p))
-    return contr * fan.multitangent(p).inclusion(alpha, gamma).transpose()
+    return _contraction(fan, p) * fan.multitangent(p).inclusion(alpha, gamma).transpose()
+
+
+def _contraction(fan: Fan, p: int) -> IntMatrix:
+    """`_contraction_against_top` in the fan's dimension, kept per fan."""
+    return fan.memo(("contr", p), lambda: _contraction_against_top(fan.dim, p))
 
 
 def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
@@ -390,11 +394,29 @@ def _vanishes(report: TpdReport) -> bool:
 
 def _star_tpd_report(wf: WeightedFan, gamma: int) -> TpdReport:
     """Duality report for the star of a face, via the subdivision-free star
-    complexes: homology concentrated in the top degree plus bijective caps."""
+    complexes: homology concentrated in the top degree plus bijective caps.
+
+    A top face's star is R^d with the face's weight w, and its report is
+    read off in closed form. Its complex is the top degree alone, with a
+    zero differential, so there is nothing to vanish and the kernel basis
+    is the identity. The cap in degree p is then w times the contraction
+    matrix of `_cap_block_matrix`, a signed permutation: it is bijective
+    exactly when w is a unit, and its determinant is w^comb(d, p) times
+    that of the contraction. No star complex, cap or kernel is built."""
     fan = wf.fan
     d = fan.dim
     lo = fan.faces[gamma].dim
     entries = []
+    if lo == d:
+        w = wf.weight(gamma)
+        ok = wf.ring.is_unit(w)
+        for p in range(d + 1):
+            witness = ""
+            if not ok:
+                det = Fraction(w) ** comb(d, p) * det_int(_contraction(fan, p))
+                witness = f"determinant {wf.ring.coerce(det)}"
+            entries.append(TpdEntry(p, 0, "cap", ok, witness))
+        return TpdReport(wf.ring, ok, entries, base=gamma)
     for dp in range(d + 1):
         table = star_homology_table(fan, gamma, dp, wf.ring)
         for qq in range(lo, d):

@@ -15,6 +15,7 @@ from tropfan.exact import (
     field_matrix,
     hermite_normal_form,
     hnf_basis,
+    homology_of_pair,
     kernel_field,
     kernel_lattice,
     smith_normal_form,
@@ -783,3 +784,45 @@ def oracle_star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
         return False
     coords = _coords_in_kernel(kern, [fundamental_chain(wf).vector(blocks)], wf.ring)[0]
     return wf.ring.is_unit(coords[0])
+
+
+def oracle_star_tpd_report(wf: WeightedFan, gamma: int):
+    """The star report at gamma with nothing read off: every degree below
+    the top of the star complex eliminated by `homology_of_pair`, the lowest
+    one included, and a cap built at every face, top faces included. The
+    eliminations are memoized per fan and ring under their own key, since
+    they do not depend on the weights."""
+    from tropfan.complexes import HomologyEntry, bm_chain_complex
+    from tropfan.duality import TpdEntry, TpdReport, _vanishing_witness, cap_star
+
+    fan = wf.fan
+    d = fan.dim
+    lo = fan.faces[gamma].dim
+    entries = []
+    for dp in range(d + 1):
+
+        def eliminate(dp=dp):
+            cx = bm_chain_complex(fan.star_view(gamma), dp, wf.ring)
+            return {
+                q: HomologyEntry(*homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), wf.ring))
+                for q in cx.degrees[:-1]
+            }
+
+        table = fan.memo(("oracle_star_below_top", gamma, dp, str(wf.ring)), eliminate)
+        for qq in range(lo, d):
+            e = table[qq]
+            entries.append(
+                TpdEntry(
+                    d - dp,
+                    d - qq,
+                    "vanishing",
+                    e.group.is_trivial,
+                    "" if e.group.is_trivial else _vanishing_witness(e.group, e.representatives),
+                )
+            )
+    for p in range(d + 1):
+        cap = cap_star(wf, gamma, p)
+        ok = cap.is_isomorphism()
+        entries.append(TpdEntry(p, 0, "cap", ok, "" if ok else cap.failure_witness()))
+    verdict = all(e.ok for e in entries)
+    return TpdReport(wf.ring, verdict, entries, base=gamma)

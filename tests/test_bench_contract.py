@@ -22,7 +22,7 @@ import tropfan.duality, tropfan.fixtures, tropfan.io
 
 tracer = layers.Tracer()
 tracer.install()
-wf = tropfan.io.parse_fan(tropfan.fixtures.text("cross"))
+wf = tropfan.io.parse_fan(tropfan.fixtures.text("surface_r3"))
 tropfan.duality.is_tpd(wf)
 print(json.dumps({"missing": tracer.missing, "metrics": tracer.metrics()}))
 """

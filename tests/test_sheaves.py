@@ -175,16 +175,18 @@ def test_fan_and_modules_freed_without_cycle_collector():
         assert [r() for r in refs] == [None, None]
         # Star tables own their kernel bases and must not refer back to the
         # fan: build them through the star row over Z and F_3, and through
-        # the witness of a failing cap over Z.
+        # the witness of a failing cap over Z. A top face's report is read
+        # off in closed form, so the failing caps are taken at a ray of a
+        # surface, whose star is not a top face's.
         wf = bergman_fan(Matroid.uniform(3, 4))
         for ring in (Z, F3):
             for p in range(wf.fan.dim + 1):
                 star_row_complex(wf, p, ring)
-        doubled = weighted(cross_fan(), [2, 2, 2, 2])
+        doubled = weighted(bergman_fan(Matroid.uniform(3, 4)).fan, [2] * len(wf.fan.top_faces()))
         ray = doubled.fan.faces_of_dim(1)[0]
         assert is_local_tpd(doubled).per_face[ray].failures()[0].witness == "determinant 2"
         tops = [_star(wf.fan, wf.fan.vertex_id, 1, F3)[0].entries[2]]
-        tops += [_star(doubled.fan, ray, q, Z)[0].entries[1] for q in (0, 1)]
+        tops += [_star(doubled.fan, ray, q, Z)[0].entries[2] for q in (0, 1, 2)]
         assert all("kernel" in vars(top) for top in tops)
         refs = [weakref.ref(x) for x in (wf, wf.fan, doubled, doubled.fan)]
         del wf, doubled, tops
