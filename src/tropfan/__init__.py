@@ -54,7 +54,7 @@ from .exact import (
     saturate,
     smith_normal_form,
 )
-from .fans import Cone, Fan, StarView, WeightedFan, build_fan, cone_subfan, incidence_sign, star_view
+from .fans import Cone, Fan, WeightedFan, build_fan, cone_subfan, incidence_sign
 from .intmat import IntMatrix
 from .io import InputError, parse_fan, parse_matroid, serialize_fan, serialize_matroid
 from .matroids import Matroid, bergman_fan, matroid_flats

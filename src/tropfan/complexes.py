@@ -21,7 +21,7 @@ from .exact import (
     kernel_lattice,
     solve_field,
 )
-from .fans import ConeView, Fan, StarView, WeightedFan
+from .fans import ConeView, Fan, WeightedFan
 from .intmat import IntMatrix, SparseIntMatrix, solve_int
 
 
@@ -157,34 +157,68 @@ def _bm_differential(fan: Fan, module, q, blocks_q, blocks_q1):
     return SparseIntMatrix(len(entries), sum(b.rank for b in blocks_q), entries)
 
 
-def bm_chain_complex(fan_or_view, p: int, ring: RingTag) -> ChainComplex:
-    """Borel-Moore chain complex of the degree-p multi-tangent cosheaf.
-
-    Accepts a Fan or a StarView; for a star the degrees run from the base
-    face's dimension up to the fan's, realizing the star without subdividing.
-    """
-    if isinstance(fan_or_view, StarView):
-        fan = fan_or_view.fan
-        members = fan_or_view.members
-        lo = fan_or_view.base_dim
-    else:
-        fan = fan_or_view
-        members = range(fan.face_count())
-        lo = 0
+def _assemble(fan: Fan, p: int):
+    """The Borel-Moore complex of F_p over the whole fan, without a ring:
+    the block layout of every degree and the differential out of every
+    degree above 0."""
     module = fan.multitangent(p)
-    degrees = list(range(lo, fan.dim + 1))
-    ranks = {fid: module.rank(fid) for fid in members}
-    by_dim = {q: [f for f in members if fan.faces[f].dim == q] for q in degrees}
-    blocks = {q: _layout(by_dim[q], ranks) for q in degrees}
-    diffs = {}
-    for q in degrees:
-        if q - 1 in blocks:
-            diffs[q] = _bm_differential(fan, module, q, blocks[q], blocks[q - 1])
-    return ChainComplex("homological", ring, degrees, blocks, diffs)
+    ranks = [module.rank(fid) for fid in range(fan.face_count())]
+    blocks = {q: _layout(fan.faces_of_dim(q), ranks) for q in range(fan.dim + 1)}
+    diffs = {q: _bm_differential(fan, module, q, blocks[q], blocks[q - 1]) for q in range(1, fan.dim + 1)}
+    return blocks, diffs
+
+
+def _bm(fan: Fan, p: int):
+    """`_assemble` and each face's block, kept per fan: the one complex of
+    degree p that every star complex, and the balancing check, read."""
+
+    def compute():
+        blocks, diffs = _assemble(fan, p)
+        return blocks, diffs, {b.face: b for layout in blocks.values() for b in layout}
+
+    return fan.memo(("bm", p), compute)
+
+
+def bm_chain_complex(fan: Fan, p: int, ring: RingTag) -> ChainComplex:
+    """Borel-Moore chain complex of the degree-p multi-tangent cosheaf,
+    assembled afresh on every call (it is not kept on the fan)."""
+    blocks, diffs = _assemble(fan, p)
+    return ChainComplex("homological", ring, range(fan.dim + 1), blocks, diffs)
 
 
 def star_bm_complex(fan: Fan, gamma: int, p: int, ring: RingTag) -> ChainComplex:
-    return bm_chain_complex(fan.star_view(gamma), p, ring)
+    """The Borel-Moore complex of the star of gamma, as the restriction of
+    the fan's complex to the faces above gamma.
+
+    Those faces form an upper set, so the star complex is the quotient by
+    the faces not containing gamma, and its differentials are the fan's
+    rows at the faces above gamma with their columns renumbered. Degrees run
+    from dim gamma up to the fan's dimension, and member faces keep their
+    dimensions: the star is realized without subdividing. A face above gamma
+    has nonzeros only at its covers, which lie above gamma too, so no
+    nonzero is dropped. The star of the vertex is the whole fan, and its
+    complex shares the fan's blocks and differentials.
+    """
+    if not 0 <= gamma < fan.face_count():
+        raise ValueError(f"invalid face id {gamma}")
+    blocks, diffs, block_of = _bm(fan, p)
+    if gamma == fan.vertex_id:
+        return ChainComplex("homological", ring, range(fan.dim + 1), blocks, diffs)
+    members = fan.upper_set(gamma)
+    ranks = {fid: block_of[fid].rank for fid in members}
+    degrees = range(fan.faces[gamma].dim, fan.dim + 1)
+    star_blocks = {q: _layout([f for f in members if fan.faces[f].dim == q], ranks) for q in degrees}
+    star_diffs = {}
+    for q in degrees[1:]:
+        column = {block_of[b.face].offset + j: b.offset + j for b in star_blocks[q] for j in range(b.rank)}
+        rows = diffs[q].entries
+        entries = [
+            {column[j]: x for j, x in rows[block_of[b.face].offset + i].items()}
+            for b in star_blocks[q - 1]
+            for i in range(b.rank)
+        ]
+        star_diffs[q] = SparseIntMatrix(len(entries), len(column), entries)
+    return ChainComplex("homological", ring, degrees, star_blocks, star_diffs)
 
 
 def compact_cochain_complex(fan: Fan, p: int, ring: RingTag) -> ChainComplex:
@@ -268,29 +302,13 @@ def euler_characteristic(complex_: ChainComplex) -> int:
 # Star complexes and the star-homology row (top homology of all stars)
 
 
-def star_top_boundary(fan: Fan, module, gamma: int):
-    """The top boundary of the star of a face: the map out of the direct sum
-    of the module over top faces above gamma, restricted to the star. Only
-    the balancing checks use it; everything else reads `_star`.
-
-    Returns (blocks, matrix) where blocks lay out the domain.
-    """
-    members = fan.upper_set(gamma)
-    tops = [f for f in members if fan.faces[f].dim == fan.dim]
-    subs = [f for f in members if fan.faces[f].dim == fan.dim - 1]
-    ranks = {f: module.rank(f) for f in tops + subs}
-    blocks_top = _layout(tops, ranks)
-    blocks_sub = _layout(subs, ranks)
-    mat = _bm_differential(fan, module, fan.dim, blocks_top, blocks_sub)
-    return blocks_top, mat
-
-
 def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
     """The star of gamma in degree p, computed once per fan and ring: its
     homology table, the block layout of its top degree, and its top
     differential (weights play no role here).
 
-    The star complex is assembled once. Its lowest degree, dim gamma, is
+    The star complex is `star_bm_complex`, read off the fan's complex of
+    degree p, which is assembled once. Its lowest degree, dim gamma, is
     acyclic whenever it lies below the top: the map into it is the sum of
     the signed inclusions of gamma's covers, and `build_multitangent` makes
     F_p(gamma) exactly the sum of its covers' modules (one `solve_int`
@@ -300,17 +318,16 @@ def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
     pure dimensional, so it lies in a top face. The degrees strictly
     between go through `homology_of_pair`, which reduces the top
     differential once, as the incoming map of degree d-1. The top degree
-    has no incoming boundary, so
-    its group is the kernel of the top differential: free, of the rank that
-    the Euler characteristic leaves. The alternating sum of the ranks of the
-    chain groups equals that of the homology groups, and all but the top one
-    are known, so the top differential needs no second reduction. Its
-    kernel basis is owned by the top entry, a `_KernelEntry`, and built only
-    when it is read.
+    has no incoming boundary, so its group is the kernel of the top
+    differential: free, of the rank that the Euler characteristic leaves.
+    The alternating sum of the ranks of the chain groups equals that of the
+    homology groups, and all but the top one are known, so the top
+    differential needs no second reduction. Its kernel basis is owned by
+    the top entry, a `_KernelEntry`, and built only when it is read.
     """
 
     def compute():
-        cx = bm_chain_complex(fan.star_view(gamma), p, ring)
+        cx = star_bm_complex(fan, gamma, p, ring)
         d = fan.dim
         below = cx.degrees[:-1]
         entries = {q: HomologyEntry(GroupPresentation(0), []) for q in below[:1]}

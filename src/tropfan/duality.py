@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, gcd, lcm, prod
 
 from .complexes import _coords_in_kernel, _layout, _star, _star_kernel
-from .complexes import star_homology_table, star_top_boundary
+from .complexes import star_bm_complex, star_homology_table
 from .exact import RingTag, _rank_and_torsion, _unit_pivot_reduce
 from .fans import Fan, WeightedFan
 from .intmat import IntMatrix, SparseIntMatrix, det_int
@@ -129,23 +129,16 @@ def fundamental_chain(wf: WeightedFan) -> FundamentalChain:
 
 
 def balancing_failure(wf: WeightedFan):
-    """None when balanced; otherwise the id of a codimension-one face where
-    the boundary of the fundamental chain is nonzero."""
-    fan = wf.fan
-    module = fan.multitangent(fan.dim)
-    blocks_top, mat = star_top_boundary(fan, module, fan.vertex_id)
-    ch = fundamental_chain(wf).vector(blocks_top)
-    image = _int_mat_times_ring_vec(mat, ch, wf.ring)
-    if not any(image):
-        return None
-    # Locate the offending codimension-one face.
-    offset = 0
-    for beta in fan.faces_of_dim(fan.dim - 1):
-        r = module.rank(beta)
-        if any(image[offset : offset + r]):
-            return beta
-        offset += r
-    return fan.faces_of_dim(fan.dim - 1)[0]
+    """None when balanced; otherwise the id of the first codimension-one
+    face where the boundary of the fundamental chain is nonzero, read from
+    the top differential of the fan's complex of F_d."""
+    d = wf.fan.dim
+    cx = star_bm_complex(wf.fan, wf.fan.vertex_id, d, wf.ring)
+    image = _int_mat_times_ring_vec(cx.boundary_out(d), fundamental_chain(wf).vector(cx.blocks[d]), wf.ring)
+    for b in cx.blocks.get(d - 1, ()):
+        if any(image[b.offset : b.offset + b.rank]):
+            return b.face
+    return None
 
 
 def is_balanced(wf: WeightedFan) -> bool:
@@ -184,11 +177,11 @@ def stars_balanced_check(wf: WeightedFan) -> bool:
     the star complex; failure would indicate inconsistent incidence data."""
     _require_balanced(wf)
     fan = wf.fan
-    module = fan.multitangent(fan.dim)
+    d = fan.dim
     ch = fundamental_chain(wf)
     for gamma in range(fan.face_count()):
-        blocks, mat = star_top_boundary(fan, module, gamma)
-        image = _int_mat_times_ring_vec(mat, ch.vector(blocks), wf.ring)
+        cx = star_bm_complex(fan, gamma, d, wf.ring)
+        image = _int_mat_times_ring_vec(cx.boundary_out(d), ch.vector(cx.blocks[d]), wf.ring)
         if any(image):
             raise AssertionError(f"star of face {gamma} lost the cycle condition")
     return True

@@ -1,5 +1,9 @@
 """Rational polyhedral fans: faces, posets, incidence signs, stars and cones.
 
+The star of a face is its upper set (`Fan.upper_set`), and its complexes are
+restrictions of the fan's (`complexes.star_bm_complex`). A cone is its lower
+set (`Fan.cone_subfan`).
+
 Faces carry an oriented saturated lattice basis. The orientation is the one
 induced by the face's ray generators in index order (for rays this is the
 outward primitive generator itself), which makes the incidence signs below
@@ -157,11 +161,6 @@ class Fan:
 
     # -- derived views ------------------------------------------------------
 
-    def star_view(self, fid):
-        if not 0 <= fid < len(self.faces):
-            raise ValueError(f"invalid face id {fid}")
-        return StarView(self, fid, self.upper_set(fid))
-
     def cone_subfan(self, fid):
         if not 0 <= fid < len(self.faces):
             raise ValueError(f"invalid face id {fid}")
@@ -175,36 +174,12 @@ class Fan:
         return self._multitangent_cache[p]
 
     def memo(self, key, compute):
-        """Weight-independent per-fan memo (star computations, contractions),
-        shared by the `with_ring` copies of a weighted fan."""
+        """Weight-independent per-fan memo (Borel-Moore complexes, star
+        computations, contractions), shared by the `with_ring` copies of a
+        weighted fan."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-
-@dataclass
-class StarView:
-    """The upper set of a face, with incidence data inherited from the fan.
-
-    Degrees are NOT shifted: a member face keeps its dimension in the ambient
-    fan, so chain complexes over the view run from dim(base) up to fan.dim.
-    """
-
-    fan: Fan
-    base: int
-    members: list
-
-    @property
-    def base_dim(self):
-        return self.fan.faces[self.base].dim
-
-    def members_of_dim(self, k):
-        return [f for f in self.members if self.fan.faces[f].dim == k]
-
-    def star_view(self, fid):
-        if fid not in self.members:
-            raise ValueError(f"face {fid} is not in this star")
-        return self.fan.star_view(fid)
 
 
 @dataclass
@@ -457,10 +432,6 @@ def _check_boundary_squared(fan: Fan):
 
 def incidence_sign(fan: Fan, tau, sigma):
     return fan.incidence_sign(tau, sigma)
-
-
-def star_view(fan_or_view, fid) -> StarView:
-    return fan_or_view.star_view(fid)
 
 
 def cone_subfan(fan: Fan, fid) -> ConeView:

@@ -170,8 +170,7 @@ def star_export_document(wf: WeightedFan, gamma: int) -> str:
     members keep their weights.
     """
     fan = wf.fan
-    view = fan.star_view(gamma)
-    members = [gamma] + [f for f in view.members if f != gamma]
+    members = [gamma] + [f for f in fan.upper_set(gamma) if f != gamma]
     index = {fid: i for i, fid in enumerate(members)}
     faces = []
     for fid in members:

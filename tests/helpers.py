@@ -786,13 +786,30 @@ def oracle_star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
     return wf.ring.is_unit(coords[0])
 
 
+def oracle_star_complex(fan, gamma: int, p: int):
+    """The Borel-Moore complex of the star of gamma in degree p, assembled
+    directly over the star's faces, as it was before star complexes became
+    restrictions of the fan's complex: `_bm_differential` over the blocks
+    of the upper set of gamma. It has no ring (`ring` is None); callers
+    pass one to `homology_of_pair`."""
+    from tropfan.complexes import ChainComplex, _bm_differential, _layout
+
+    module = fan.multitangent(p)
+    members = fan.upper_set(gamma)
+    degrees = list(range(fan.faces[gamma].dim, fan.dim + 1))
+    ranks = {fid: module.rank(fid) for fid in members}
+    blocks = {q: _layout([f for f in members if fan.faces[f].dim == q], ranks) for q in degrees}
+    diffs = {q: _bm_differential(fan, module, q, blocks[q], blocks[q - 1]) for q in degrees[1:]}
+    return ChainComplex("homological", None, degrees, blocks, diffs)
+
+
 def oracle_star_tpd_report(wf: WeightedFan, gamma: int):
     """The star report at gamma with nothing read off: every degree below
     the top of the star complex eliminated by `homology_of_pair`, the lowest
     one included, and a cap built at every face, top faces included. The
     eliminations are memoized per fan and ring under their own key, since
     they do not depend on the weights."""
-    from tropfan.complexes import HomologyEntry, bm_chain_complex
+    from tropfan.complexes import HomologyEntry
     from tropfan.duality import TpdEntry, TpdReport, _vanishing_witness, cap_star
 
     fan = wf.fan
@@ -802,7 +819,7 @@ def oracle_star_tpd_report(wf: WeightedFan, gamma: int):
     for dp in range(d + 1):
 
         def eliminate(dp=dp):
-            cx = bm_chain_complex(fan.star_view(gamma), dp, wf.ring)
+            cx = oracle_star_complex(fan, gamma, dp)
             return {
                 q: HomologyEntry(*homology_of_pair(cx.boundary_in(q), cx.boundary_out(q), wf.ring))
                 for q in cx.degrees[:-1]

@@ -19,7 +19,7 @@ from tropfan.fans import build_fan
 from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
-from helpers import F2, F3, Q, Z, cross_fan, curve_fan, weighted
+from helpers import F2, F3, Q, Z, convention_fans, cross_fan, curve_fan, oracle_star_complex, weighted
 
 ALL_FIXTURES = ["cross", "curve_r3", "surface_r4", "surface_r3", "u34_bergman"]
 
@@ -115,6 +115,23 @@ def test_star_complex_of_vertex_equals_global():
         assert a.diffs.keys() == b.diffs.keys()
         for q in a.diffs:
             assert a.diffs[q] == b.diffs[q]
+
+
+def test_star_complexes_are_restrictions_of_the_directly_assembled_ones():
+    # Degrees, blocks and every differential, nonzero for nonzero and in
+    # the same order, against the assembly over the star's own faces.
+    for name, fan in convention_fans():
+        for p in range(fan.dim + 1):
+            for gamma in range(fan.face_count()):
+                got = star_bm_complex(fan, gamma, p, Z)
+                expected = oracle_star_complex(fan, gamma, p)
+                assert got.degrees == expected.degrees, (name, p, gamma)
+                assert got.blocks == expected.blocks, (name, p, gamma)
+                assert got.diffs.keys() == expected.diffs.keys(), (name, p, gamma)
+                for q, mat in got.diffs.items():
+                    other = expected.diffs[q]
+                    assert (mat.rows, mat.cols) == (other.rows, other.cols), (name, p, gamma, q)
+                    assert [list(e.items()) for e in mat.entries] == [list(e.items()) for e in other.entries]
 
 
 def test_star_u34_singleton_ray_top_rank_one():

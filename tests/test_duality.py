@@ -30,7 +30,7 @@ from tropfan.duality import (
     tpd_from_stars_check,
 )
 from tropfan.exact import RingTag, kernel_lattice, rank_field
-from tropfan.fans import build_fan
+from tropfan.fans import WeightedFan, build_fan
 from tropfan.intmat import IntMatrix, det_int, solve_int
 from tropfan.matroids import Matroid, bergman_fan
 from tropfan.sheaves import wedge_basis
@@ -48,6 +48,7 @@ from helpers import (
     oracle_cap_block,
     oracle_cap_change,
     oracle_orientation_coordinate,
+    oracle_star_complex,
     random_balanced_curve,
     random_surface,
     weighted,
@@ -124,6 +125,25 @@ class TestBalancing:
         fan = cross_fan()
         beta = balancing_failure(weighted(fan, [1, 2, 1, 1]))
         assert beta == fan.vertex_id
+
+    @pytest.mark.parametrize("name", ["surface_r3", "surface_r4", "u34_bergman"])
+    def test_balance_witness_is_the_first_failing_face(self, name):
+        # Doubling the weight of the last top face breaks balancing at two
+        # codimension-one faces; the witness is the one of least id. Each
+        # face is tested on the top boundary of its star, assembled directly.
+        wf = fixtures.load(name)
+        fan = wf.fan
+        d = fan.dim
+        last = fan.top_faces()[-1]
+        doubled = WeightedFan(fan, wf.ring, {a: w * (2 if a == last else 1) for a, w in wf.weights.items()})
+        failing = []
+        for beta in fan.faces_of_dim(d - 1):
+            cx = oracle_star_complex(fan, beta, d)
+            chain = fundamental_chain(doubled).vector(cx.blocks[d])
+            if any(sum(x * c for x, c in zip(row, chain)) for row in cx.boundary_out(d).data):
+                failing.append(beta)
+        assert len(failing) == 2
+        assert balancing_failure(doubled) == failing[0]
 
     def test_curve_unit_weights_balanced(self):
         assert is_balanced(weighted(curve_fan(), [1, 1, 1, 1]))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import tropfan.exact as exact
 from tropfan import fixtures
-from tropfan.complexes import bm_chain_complex
+from tropfan.complexes import bm_chain_complex, star_bm_complex
 from tropfan.duality import cap_star
 from tropfan.exact import (
     GroupPresentation,
@@ -283,9 +283,8 @@ Q_FANS["surface_r3_2/3"] = lambda: _scaled("surface_r3", Fraction(2, 3))
 def _all_pairs(fan):
     """(boundary_in, boundary_out) of every degree of the global complexes
     and of the star complexes of every face, over Q."""
-    for view in [fan] + [fan.star_view(g) for g in range(fan.face_count())]:
-        for p in range(fan.dim + 1):
-            cx = bm_chain_complex(view, p, Q)
+    for p in range(fan.dim + 1):
+        for cx in [bm_chain_complex(fan, p, Q)] + [star_bm_complex(fan, g, p, Q) for g in range(fan.face_count())]:
             for q in cx.degrees:
                 yield cx.boundary_in(q), cx.boundary_out(q)
 

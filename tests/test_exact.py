@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from tropfan import fixtures
-from tropfan.complexes import _coords_in_kernel, _star, _star_kernel, star_top_boundary
+from tropfan.complexes import _coords_in_kernel, _star, _star_kernel
 from tropfan.duality import fundamental_chain
 from tropfan.exact import (
     MAX_MODULUS,
@@ -25,7 +25,7 @@ from tropfan.exact import (
 )
 from tropfan.intmat import IntMatrix, det_int
 
-from helpers import F3, Q, Z
+from helpers import F3, Q, Z, oracle_star_complex
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -156,7 +156,8 @@ class TestKernel:
             wf = fixtures.load(name).with_ring(Q)
             fan = wf.fan
             for gamma in range(fan.face_count()):
-                blocks, mat = star_top_boundary(fan, fan.multitangent(fan.dim), gamma)
+                oracle = oracle_star_complex(fan, gamma, fan.dim)
+                blocks, mat = oracle.blocks[fan.dim], oracle.boundary_out(fan.dim)
                 kern = kernel_lattice(mat)
                 assert _star(fan, gamma, fan.dim, Q)[1:] == (blocks, mat)
                 assert _star_kernel(fan, gamma, fan.dim, Q) == kern

@@ -4,12 +4,13 @@ from itertools import combinations
 
 import pytest
 
+from tropfan.complexes import star_bm_complex
 from tropfan.exact import rank_over_q, saturate
 from tropfan.fans import build_fan
 from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
-from helpers import cross_fan, curve_fan
+from helpers import Z, cross_fan, curve_fan
 
 
 def test_cross_structure():
@@ -92,35 +93,34 @@ def _flip_last(basis):
     return out
 
 
-def test_star_view_of_vertex_is_whole_fan():
+def test_upper_set_of_vertex_is_whole_fan():
     fan = cross_fan()
-    view = fan.star_view(fan.vertex_id)
-    assert view.members == list(range(fan.face_count()))
+    assert fan.upper_set(fan.vertex_id) == list(range(fan.face_count()))
 
 
-def test_star_view_of_maximal_face_is_itself():
+def test_upper_set_of_maximal_face_is_itself():
     fan = cross_fan()
     top = fan.faces_of_dim(1)[0]
-    assert fan.star_view(top).members == [top]
+    assert fan.upper_set(top) == [top]
 
 
-def test_star_view_u34_singleton_ray():
+def test_upper_set_u34_singleton_ray():
     wf = bergman_fan(Matroid.uniform(3, 4))
     fan = wf.fan
     # The ray of the singleton flat {0} sits in three two-cones.
     ray = fan.face_by_rays([0])
-    view = fan.star_view(ray)
-    assert len(view.members) == 4
-    assert view.members_of_dim(2) == [f for f in view.members if fan.faces[f].dim == 2]
-    assert len(view.members_of_dim(2)) == 3
+    members = fan.upper_set(ray)
+    assert len(members) == 4
+    assert len([f for f in members if fan.faces[f].dim == 2]) == 3
 
 
 def test_star_recursion_coherence():
+    # The star of a face inside the star of gamma is the face's own star.
     fan = bergman_fan(Matroid.uniform(3, 4)).fan
     for gamma in range(fan.face_count()):
-        outer = fan.star_view(gamma)
-        for kappa in outer.members:
-            assert outer.star_view(kappa).members == fan.star_view(kappa).members
+        outer = fan.upper_set(gamma)
+        for kappa in outer:
+            assert [f for f in outer if f in fan.upper_set(kappa)] == fan.upper_set(kappa)
 
 
 def test_cone_subfan_examples():
@@ -136,7 +136,7 @@ def test_cone_subfan_examples():
 def test_invalid_face_id():
     fan = cross_fan()
     with pytest.raises(ValueError):
-        fan.star_view(99)
+        star_bm_complex(fan, 99, 0, Z)
     with pytest.raises(ValueError):
         fan.incidence_sign(1, 2)
 

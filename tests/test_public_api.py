@@ -10,7 +10,7 @@ from tropfan.cli import _build_parser
 PUBLIC_NAMES = [
     "CapResult", "ChainComplex", "Cone", "FAILS", "Fan", "FundamentalChain", "GroupPresentation",
     "HOLDS", "HYPOTHESIS_VIOLATED", "HomologyTable", "InputError", "IntMatrix", "LocalTpdReport",
-    "Matroid", "ModuleAssignment", "RingTag", "StarView", "TheoremViolation", "TpdReport",
+    "Matroid", "ModuleAssignment", "RingTag", "TheoremViolation", "TpdReport",
     "WeightedFan", "balancing_failure", "bergman_fan", "bm_chain_complex", "build_fan",
     "build_multicotangent", "build_multitangent", "cap_chain_general", "cap_q0", "cap_star",
     "classify_dim1", "compact_cochain_complex", "complexes", "cone_subfan",
@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "is_uniquely_balanced", "kernel_lattice", "local_tpd_characterization", "matroid_flats",
     "matroids", "parse_fan", "parse_matroid", "plain_chain_complex", "plain_cochain_complex",
     "saturate", "serialize_fan", "serialize_matroid", "sheaves", "smith_normal_form",
-    "star_bm_complex", "star_row_complex", "star_view", "stars_balanced_check",
+    "star_bm_complex", "star_row_complex", "stars_balanced_check",
     "tpd_from_stars_check", "wedge_basis",
 ]
 

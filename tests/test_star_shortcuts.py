@@ -16,7 +16,7 @@ import tropfan.duality as duality
 from tropfan import fixtures
 from tropfan.duality import _star_report, is_balanced, is_local_tpd
 from tropfan.exact import RingTag
-from tropfan.fans import StarView, WeightedFan
+from tropfan.fans import WeightedFan
 from tropfan.matroids import Matroid, bergman_fan
 
 from helpers import F2, F3, Q, Z, convention_fans, oracle_star_tpd_report
@@ -71,18 +71,18 @@ def test_star_reports_match_the_full_elimination_and_cap_oracle(name, wf):
 def test_top_face_reports_build_no_star_complex_or_cap(monkeypatch):
     fan = bergman_fan(Matroid.uniform(3, 5)).fan
     tops = set(fan.top_faces())
-    cap_star, bm_chain_complex = duality.cap_star, complexes.bm_chain_complex
+    cap_star, star_bm_complex = duality.cap_star, complexes.star_bm_complex
 
     def guarded_cap_star(wf, gamma, p):
         assert gamma not in tops, "cap built for a top face"
         return cap_star(wf, gamma, p)
 
-    def guarded_bm_chain_complex(fan_or_view, p, ring):
-        assert not (isinstance(fan_or_view, StarView) and fan_or_view.base in tops), "star complex of a top face"
-        return bm_chain_complex(fan_or_view, p, ring)
+    def guarded_star_bm_complex(fan, gamma, p, ring):
+        assert gamma not in tops, "star complex of a top face"
+        return star_bm_complex(fan, gamma, p, ring)
 
     monkeypatch.setattr(duality, "cap_star", guarded_cap_star)
-    monkeypatch.setattr(complexes, "bm_chain_complex", guarded_bm_chain_complex)
+    monkeypatch.setattr(complexes, "star_bm_complex", guarded_star_bm_complex)
     for ring in (Z, F3):
         assert is_local_tpd(WeightedFan(fan, ring, {a: 1 for a in tops})).verdict
     # w^comb(2, p) det(contr_p) for w = 2: det(contr_p) is 1, 1, -1.
