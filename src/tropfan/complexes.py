@@ -9,9 +9,7 @@ used for fans (homology of a d-fan lives in degrees 0..d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .exact import (
     GroupPresentation,
@@ -399,14 +397,14 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
 
 
 def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
-    """Coordinates of columns of ring elements in a star kernel basis from
+    """Coordinates of integer columns in a star kernel basis from
     `_star_kernel`, one coordinate column per column.
 
     Over Z and Q the basis is saturated, so an integer column in its span
-    has integer coordinates; a Q column is scaled by the lcm of its
-    denominators first and divided back after. Over F_p the mod-p kernel is
-    solved mod p. A column outside the span raises ValueError, which means an
-    incidence-sign or balancing bug.
+    has integer coordinates. Over F_p the mod-p kernel is solved mod p. A
+    column outside the span raises ValueError, which means an incidence-sign
+    or balancing bug. The columns hold ints: caps are taken against the
+    integer `fundamental_chain`, and kernel bases are integral.
     """
     if kern.cols == 0:
         if not all(ring.is_zero(x) for col in columns for x in col):
@@ -416,10 +414,4 @@ def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
         return []
     if ring.kind == "Fp":
         return solve_field(kern.columns(), [[x % ring.p for x in col] for col in columns], ring)
-    scales = [lcm(*(x.denominator for x in col)) for col in columns]
-    scaled = [[int(x * s) for x in col] for col, s in zip(columns, scales)]
-    sol = solve_int(kern, IntMatrix.from_cols(scaled, rows=kern.rows))
-    return [
-        [sol.data[i][j] if s == 1 else Fraction(sol.data[i][j], s) for i in range(kern.cols)]
-        for j, s in enumerate(scales)
-    ]
+    return solve_int(kern, IntMatrix.from_cols(columns, rows=kern.rows)).columns()

@@ -11,10 +11,9 @@ prime fields and report exact witnesses on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm
 
 from .complexes import _coords_in_kernel, _layout, _star, _star_kernel
 from .complexes import star_bm_complex, star_homology_table
@@ -92,10 +91,7 @@ def _det_ring(columns, ring: RingTag):
     n = len(columns)
     if any(len(c) != n for c in columns):
         raise ValueError("determinant of a non-square system")
-    # Clear each column's denominators (Q only): det(M) = det(M D) / det(D).
-    dens = [lcm(*(x.denominator for x in c)) for c in columns]
-    m = IntMatrix.from_cols([[int(x * d) for x in c] for c, d in zip(columns, dens)], rows=n)
-    return ring.coerce(Fraction(det_int(m), prod(dens)))
+    return ring.coerce(det_int(IntMatrix.from_cols(columns, rows=n)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +100,13 @@ def _det_ring(columns, ring: RingTag):
 
 @dataclass
 class FundamentalChain:
-    """The fundamental chain: one ring element per top face, its weight.
-
-    The stored top-degree basis at a top face is its orientation generator
-    (see `sheaves.build_multitangent`), so each weight is the coordinate of
-    the weighted generator in that basis."""
+    """The fundamental chain in integer coordinates: each top face's weight
+    (the coordinate of the weighted orientation generator, its stored
+    top-degree basis) times D, the lcm of the weights' denominators. D is 1
+    over Z and F_p, and a unit over Q, where it changes no verdict."""
 
     wf: WeightedFan
-    coords: dict  # top face id -> ring element
+    coords: dict  # top face id -> int, D times its weight
 
     def vector(self, blocks):
         """The chain written out along a block layout over top faces."""
@@ -124,8 +119,14 @@ class FundamentalChain:
 
 
 def fundamental_chain(wf: WeightedFan) -> FundamentalChain:
-    coords = {alpha: _rnorm(wf.weight(alpha), wf.ring) for alpha in wf.fan.top_faces()}
-    return FundamentalChain(wf, coords)
+    """The chain of `wf`, computed once per weighted fan. Its memo keeps the
+    coordinates only, which do not refer back to `wf`."""
+
+    def compute():
+        scale = lcm(*(w.denominator for w in wf.weights.values()))  # an int's is 1
+        return {alpha: int(wf.weight(alpha) * scale) for alpha in wf.fan.top_faces()}
+
+    return FundamentalChain(wf, wf.memo("chain", compute))
 
 
 def balancing_failure(wf: WeightedFan):
@@ -197,7 +198,8 @@ class CapResult:
     C in the stored top-block bases, and their coordinates X in the kernel
     basis K of the star's top homology, C = K X. The kernel basis and the
     coordinates are computed on first read; the verdict mostly needs
-    neither (see `is_isomorphism`)."""
+    neither (see `is_isomorphism`). Both hold ints: the cap is taken against
+    `fundamental_chain`, so over Q they scale by its D, and det X by D^n."""
 
     base: int
     p: int
@@ -234,10 +236,7 @@ class CapResult:
             return False
         if self.domain_rank == 0:
             return True
-        rows = []
-        for col in self.ambient_columns:
-            scale = lcm(*(x.denominator for x in col))  # 1 but over Q, where it keeps the rank
-            rows.append({i: int(x * scale) for i, x in enumerate(col) if x})
+        rows = [{i: x for i, x in enumerate(col) if x} for col in self.ambient_columns]
         if self.ring.is_field:
             return _rank_and_torsion(rows, self.ring.p)[0] == self.domain_rank
         if gcd(*(x for row in rows for x in row.values())) != 1:
@@ -276,12 +275,13 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
     table, blocks, top = _star(fan, gamma, d - p, ring)
     src_rank = fp.rank(gamma)
     per_alpha = {b.face: _cap_block_matrix(fan, b.face, gamma, p) for b in blocks}
+    chain = fundamental_chain(wf).coords
     columns = []
     for j in range(src_rank):
         col = []
         for b in blocks:
             mat = per_alpha[b.face]
-            w = wf.weight(b.face)
+            w = chain[b.face]
             for i in range(mat.rows):
                 col.append(_rnorm(w * mat.data[i][j], ring))
         columns.append(col)
@@ -316,6 +316,7 @@ def cap_chain_general(wf: WeightedFan, p: int, q: int):
     fp = fan.multitangent(p)
     gamma = fan.vertex_id
     src_rank = fp.rank(gamma)
+    chain = fundamental_chain(wf).coords
     columns = []
     for j in range(src_rank):
         col = [0] * sum(b.rank for b in blocks)
@@ -325,7 +326,7 @@ def cap_chain_general(wf: WeightedFan, p: int, q: int):
                 mat = _cap_block_matrix(fan, alpha, gamma, p)
                 inc = fdp.inclusion(alpha, tau)
                 moved = inc * mat
-                w = wf.weight(alpha)
+                w = chain[alpha]
                 for i in range(moved.rows):
                     col[b.offset + i] = _rnorm(col[b.offset + i] + w * moved.data[i][j], wf.ring)
         columns.append(col)
@@ -389,24 +390,24 @@ def _star_tpd_report(wf: WeightedFan, gamma: int) -> TpdReport:
     """Duality report for the star of a face, via the subdivision-free star
     complexes: homology concentrated in the top degree plus bijective caps.
 
-    A top face's star is R^d with the face's weight w, and its report is
-    read off in closed form. Its complex is the top degree alone, with a
-    zero differential, so there is nothing to vanish and the kernel basis
-    is the identity. The cap in degree p is then w times the contraction
-    matrix of `_cap_block_matrix`, a signed permutation: it is bijective
-    exactly when w is a unit, and its determinant is w^comb(d, p) times
-    that of the contraction. No star complex, cap or kernel is built."""
+    A top face's star is R^d with the face's chain coordinate w, and its
+    report is read off in closed form. Its complex is the top degree alone,
+    with a zero differential, so there is nothing to vanish and the kernel
+    basis is the identity. The cap in degree p is then w times the
+    contraction matrix of `_cap_block_matrix`, a signed permutation: it is
+    bijective exactly when w is a unit, and its determinant is w^comb(d, p)
+    times that of the contraction. No star complex, cap or kernel is built."""
     fan = wf.fan
     d = fan.dim
     lo = fan.faces[gamma].dim
     entries = []
     if lo == d:
-        w = wf.weight(gamma)
+        w = fundamental_chain(wf).coords[gamma]
         ok = wf.ring.is_unit(w)
         for p in range(d + 1):
             witness = ""
             if not ok:
-                det = Fraction(w) ** comb(d, p) * det_int(_contraction(fan, p))
+                det = w ** comb(d, p) * det_int(_contraction(fan, p))
                 witness = f"determinant {wf.ring.coerce(det)}"
             entries.append(TpdEntry(p, 0, "cap", ok, witness))
         return TpdReport(wf.ring, ok, entries, base=gamma)

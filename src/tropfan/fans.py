@@ -190,9 +190,6 @@ class ConeView:
     top: int
     members: list
 
-    def members_of_dim(self, k):
-        return [f for f in self.members if self.fan.faces[f].dim == k]
-
 
 class WeightedFan:
     """A fan with a ring tag and a non-zero-divisor weight per top face."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import ne
 
 
 class IntMatrix:
@@ -35,6 +36,8 @@ class IntMatrix:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("data shape mismatch")
             self.data = [[int(x) for x in row] for row in data]
+            if any(map(ne, chain.from_iterable(self.data), chain.from_iterable(data))):
+                raise ValueError("non-integral matrix entry")
 
     @classmethod
     def _adopt(cls, rows, cols, data):

@@ -4,7 +4,13 @@ Each invocation prints one line: its arguments, its exit code and a digest of
 its stdout and stderr. The sweep runs the five fixtures and the Bergman fans
 of U(3,5) and M(K4) under tpd, local-tpd, star-row, balance, euler, dim1 and
 homology (each as text and as --json), plus star-export of face 1, over Z, Q,
-Fp:2 and Fp:3: 420 invocations, in-process.
+Fp:2 and Fp:3 (420 invocations). Derived documents follow:
+- over Q only, a copy of each document with its weights times 2/3 and one
+  with its weights times 1/3, and `cross` with the weights 1/2, 2/3, 1/2,
+  2/3, which is balanced with two denominators (225 invocations);
+- over all four rings, an unbalanced copy of each document, its first weight
+  raised by 1, so the face that `balance` names is pinned too (420).
+That is 1,065 invocations, in-process.
 
     python tests/cli_bytes.py            # print the digests
     python tests/cli_bytes.py --check    # compare with tests/cli_bytes.txt; exit 1 on a mismatch
@@ -19,10 +25,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -46,18 +54,45 @@ def graphic_k4() -> Matroid:
     return Matroid(len(edges), bases)
 
 
+def _json_weight(w):
+    w = Fraction(w)
+    return int(w) if w.denominator == 1 else str(w)
+
+
+def _write_variant(directory: Path, name: str, base: dict, weights, ring: str) -> str:
+    """Write a copy of the document base with other weights and ring."""
+    doc = dict(base, weights=[_json_weight(w) for w in weights], ring=ring)
+    (directory / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    return f"{name}.json"
+
+
 def write_documents(directory: Path):
-    """Write every fan document of the sweep into directory; return their names."""
+    """Write every fan document of the sweep into directory; return pairs
+    (name, rings) in sweep order."""
     for name in FIXTURES:
         shutil.copy(HERE.parent / "src" / "tropfan" / "fixtures" / f"{name}.json", directory / f"{name}.json")
     for name, matroid in (("U35", Matroid.uniform(3, 5)), ("MK4", graphic_k4())):
         (directory / f"{name}.json").write_text(tfio.serialize_fan(bergman_fan(matroid)), encoding="utf-8")
-    return [f"{name}.json" for name in FIXTURES + ["U35", "MK4"]]
+    names = FIXTURES + ["U35", "MK4"]
+    bases = {name: json.loads((directory / f"{name}.json").read_text(encoding="utf-8")) for name in names}
+    documents = [(f"{name}.json", RINGS) for name in names]
+    for name in names:
+        weights = bases[name]["weights"]
+        for num, den in ((2, 3), (1, 3)):
+            scaled = [Fraction(w) * num / den for w in weights]
+            documents.append((_write_variant(directory, f"{name}_x{num}_{den}", bases[name], scaled, "Q"), ["Q"]))
+    mixed = [Fraction(1, 2), Fraction(2, 3), Fraction(1, 2), Fraction(2, 3)]
+    documents.append((_write_variant(directory, "cross_mixed", bases["cross"], mixed, "Q"), ["Q"]))
+    for name in names:
+        weights = bases[name]["weights"]
+        raised = [weights[0] + 1] + weights[1:]
+        documents.append((_write_variant(directory, f"{name}_unbalanced", bases[name], raised, bases[name]["ring"]), RINGS))
+    return documents
 
 
 def invocations(documents):
-    for doc in documents:
-        for ring in RINGS:
+    for doc, rings in documents:
+        for ring in rings:
             for cmd in COMMANDS:
                 for extra in ([], ["--json"]):
                     yield [cmd, "--fan", doc, "--ring", ring] + extra

@@ -711,11 +711,41 @@ def oracle_star_top(fan, gamma: int, p: int, ring: RingTag):
     return fan.memo(("oracle_star_top", gamma, p, str(ring)), compute)
 
 
+def oracle_det(columns, ring: RingTag):
+    """The determinant of the square matrix with these columns, by Gaussian
+    elimination in Fractions, coerced into the ring (residues over F_p)."""
+    rows = [[Fraction(x) for x in row] for row in zip(*columns)]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            return ring.coerce(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return ring.coerce(det)
+
+
+def _oracle_kernel_coords(kern: IntMatrix, columns, ring: RingTag):
+    """Coordinates of columns (Fractions allowed over Q) in a kernel basis,
+    by Gauss-Jordan elimination over Q, or over F_p for F_p."""
+    if kern.cols == 0:
+        if any(ring.coerce(x) for col in columns for x in col):
+            raise ValueError("image does not lie in the kernel")
+        return [[] for _ in columns]
+    return oracle_solve_field(kern.columns(), columns, ring if ring.kind == "Fp" else Q)
+
+
 @dataclass
 class OracleCapResult:
-    """The cap against the fundamental chain at a face, in two forms: ambient
-    columns (in the stored top-block bases) and coordinates in the stored
-    kernel basis of the star's top homology."""
+    """The cap against the weights themselves at a face, in two forms:
+    ambient columns (in the stored top-block bases) and coordinates in the
+    stored kernel basis of the star's top homology. Over Q the entries are
+    Fractions where the weights are."""
 
     base: int
     p: int
@@ -727,27 +757,22 @@ class OracleCapResult:
     kernel_columns: list
 
     def is_isomorphism(self) -> bool:
-        from tropfan.duality import _det_ring
-
         if self.domain_rank != self.kernel_basis.cols:
             return False
         if self.domain_rank == 0:
             return True
-        return self.ring.is_unit(_det_ring(self.kernel_columns, self.ring))
+        return self.ring.is_unit(oracle_det(self.kernel_columns, self.ring))
 
     def failure_witness(self):
-        from tropfan.duality import _det_ring
-
         if self.domain_rank != self.kernel_basis.cols:
             return f"rank mismatch {self.domain_rank} vs {self.kernel_basis.cols}"
-        det = _det_ring(self.kernel_columns, self.ring)
-        return f"determinant {det}"
+        return f"determinant {oracle_det(self.kernel_columns, self.ring)}"
 
 
 def oracle_cap_star(wf: WeightedFan, gamma: int, p: int) -> OracleCapResult:
     """The cap product at a face: dual vectors at the face map to weighted
-    contractions over its top cofaces, solved into the star's kernel basis."""
-    from tropfan.complexes import _coords_in_kernel
+    contractions over its top cofaces, solved into the star's kernel basis.
+    It reads the weights themselves, not the integer fundamental chain."""
     from tropfan.duality import _cap_block_matrix, _require_balanced, _rnorm
 
     _require_balanced(wf)
@@ -769,21 +794,18 @@ def oracle_cap_star(wf: WeightedFan, gamma: int, p: int) -> OracleCapResult:
             for i in range(mat.rows):
                 col.append(_rnorm(w * mat.data[i][j], ring))
         columns.append(col)
-    kernel_columns = _coords_in_kernel(kern, columns, ring)
+    kernel_columns = _oracle_kernel_coords(kern, columns, ring)
     return OracleCapResult(gamma, p, ring, src_rank, blocks, columns, kern, kernel_columns)
 
 
 def oracle_star_uniquely_balanced(wf: WeightedFan, gamma: int) -> bool:
     """Whether the star kernel at gamma has rank one, generated by the
-    restricted fundamental chain."""
-    from tropfan.complexes import _coords_in_kernel
-    from tropfan.duality import fundamental_chain
-
+    restricted weights."""
     blocks, kern = oracle_star_top(wf.fan, gamma, wf.fan.dim, wf.ring)
     if kern.cols != 1:
         return False
-    coords = _coords_in_kernel(kern, [fundamental_chain(wf).vector(blocks)], wf.ring)[0]
-    return wf.ring.is_unit(coords[0])
+    [[coord]] = _oracle_kernel_coords(kern, [[wf.weight(b.face) for b in blocks]], wf.ring)
+    return wf.ring.is_unit(coord)
 
 
 def oracle_star_complex(fan, gamma: int, p: int):

@@ -7,6 +7,8 @@ witnesses and differentials must agree with them exactly.
 """
 
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from tropfan.duality import (
     _star_uniquely_balanced,
     balancing_failure,
     cap_star,
+    fundamental_chain,
     is_tpd,
 )
 from tropfan.exact import GroupPresentation, RingTag, rank_field, rank_over_q
@@ -79,7 +82,11 @@ def _weightings(fan, weights):
 
 
 def _check_caps_and_unique_balancing(wf, witnesses):
+    """Caps and unique balancing against the oracle, which reads the weights
+    themselves. Over Q with weights of denominator lcm D > 1 the program's
+    columns are D times the oracle's; D is a unit, so nothing else moves."""
     fan = wf.fan
+    scale = lcm(*(Fraction(w).denominator for w in wf.weights.values()))
     if balancing_failure(wf) is not None:
         for run in (lambda: cap_star(wf, fan.vertex_id, 0), lambda: oracle_cap_star(wf, fan.vertex_id, 0)):
             with pytest.raises(UnbalancedFanError):
@@ -88,7 +95,12 @@ def _check_caps_and_unique_balancing(wf, witnesses):
     for gamma in range(fan.face_count()):
         for p in range(fan.dim + 1):
             cap, old = cap_star(wf, gamma, p), oracle_cap_star(wf, gamma, p)
-            assert (cap.blocks, cap.ambient_columns) == (old.blocks, old.ambient_columns)
+            if scale == 1:
+                assert (cap.blocks, cap.ambient_columns) == (old.blocks, old.ambient_columns)
+            else:
+                assert cap.blocks == old.blocks
+                assert cap.ambient_columns == [[scale * x for x in col] for col in old.ambient_columns]
+                assert all(type(x) is int for col in cap.ambient_columns for x in col)
             assert cap.domain_rank == old.domain_rank and cap.top_rank == old.kernel_basis.cols
             ok = cap.is_isomorphism()
             assert ok == old.is_isomorphism()
@@ -97,7 +109,10 @@ def _check_caps_and_unique_balancing(wf, witnesses):
                 assert witness == old.failure_witness()
                 witnesses.add(witness.split()[0])
                 assert cap.kernel_basis == old.kernel_basis
-                assert cap.kernel_columns == old.kernel_columns
+                if scale == 1:
+                    assert cap.kernel_columns == old.kernel_columns
+                else:
+                    assert cap.kernel_columns == [[scale * x for x in col] for col in old.kernel_columns]
         assert _star_uniquely_balanced(wf, gamma) == oracle_star_uniquely_balanced(wf, gamma)
 
 
@@ -142,6 +157,35 @@ def test_caps_on_random_weights_match_kernel_oracle(seed, curve, ring):
     except ValueError:
         return  # a weight vanishes mod p
     _check_caps_and_unique_balancing(wf, set())
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([Fraction(2, 3), Fraction(1, 3), Fraction(-5, 6)]))
+def test_caps_on_fractional_q_weights_match_kernel_oracle(seed, curve, scale):
+    # Q weights with denominators: the program caps against the integer
+    # chain D*w, the oracle against w itself in Fractions.
+    rng = random.Random(seed)
+    if curve:
+        fan, weights = random_balanced_curve(rng)
+        weights = dict(zip(fan.top_faces(), weights))
+    else:
+        wf = random_surface(rng)
+        fan, weights = wf.fan, wf.weights
+    wf = WeightedFan(fan, Q, {f: w * scale for f, w in weights.items()})
+    witnesses = set()
+    _check_caps_and_unique_balancing(wf, witnesses)
+    assert witnesses <= {"rank", "determinant"}
+
+
+def test_chain_of_weights_with_two_denominators_is_integral():
+    # cross with weights 1/2, 2/3, 1/2, 2/3 is balanced, with D = 6.
+    fan = fixtures.load("cross").fan
+    wf = WeightedFan(fan, Q, dict(zip(fan.top_faces(), ["1/2", "2/3", "1/2", "2/3"])))
+    assert list(fundamental_chain(wf).coords.values()) == [3, 4, 3, 4]
+    assert fundamental_chain(wf).coords is fundamental_chain(wf).coords  # kept per weighted fan
+    _check_caps_and_unique_balancing(wf, set())
+    cap = cap_star(wf, fan.vertex_id, 1)
+    assert not cap.is_isomorphism() and cap.failure_witness() == "rank mismatch 2 vs 3"
 
 
 @pytest.mark.parametrize("name, fan, weights", FANS, ids=IDS)

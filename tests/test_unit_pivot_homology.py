@@ -9,6 +9,7 @@ sympy's SNF and the Fraction rank check the random complexes independently.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -256,6 +257,16 @@ def test_public_constructor_checks_shape_and_converts_entries():
         IntMatrix(2, 1, [[1]])
     with pytest.raises(ValueError, match="shape"):
         IntMatrix(1, 2, [[1]])
+
+
+@pytest.mark.parametrize("entry", [Fraction(2, 3), 2.7, Fraction(-1, 2)])
+def test_public_constructor_rejects_non_integral_entries(entry):
+    # int() would truncate these silently.
+    with pytest.raises(ValueError, match="non-integral"):
+        IntMatrix(1, 2, [[entry, 2]])
+    with pytest.raises(ValueError, match="non-integral"):
+        IntMatrix.from_cols([[1], [entry]])
+    assert IntMatrix(1, 2, [[Fraction(4), -0.0]]).data == [[4, 0]]
 
 
 def test_internal_constructions_do_not_share_rows():
