@@ -6,20 +6,20 @@ presentations of subquotients.
 Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
 
-The eliminations (`_row_hnf`, `_rref`, `intmat._gauss_jordan_ff`) reduce
-int rows in place by whole-row operations, so trailing columns ride along:
-`kernel_lattice` appends an identity block to record the transform, and
-`hnf_basis`, which needs none, appends nothing. `_row_hnf` computes the HNF
-by insertion, each row reduced against the pivot rows found so far, and
-stops early when the rows found so far generate the whole lattice; since
-the HNF is canonical, its bases do not depend on the order of elimination.
-`hermite_normal_form` keeps its own Euclidean loop: its transform U is not
-canonical, and that loop is what defines it.
+The eliminations (`intmat._row_hnf`, `_rref`) reduce int rows in place by
+whole-row operations, so trailing columns ride along: `kernel_lattice`
+appends an identity block to record the transform, and `hnf_basis`, which
+needs none, appends nothing. `_row_hnf` computes the HNF by insertion, each
+row reduced against the pivot rows found so far, and stops early when the
+rows found so far generate the whole lattice; since the HNF is canonical,
+its bases do not depend on the order of elimination. `hermite_normal_form`
+keeps its own Euclidean loop: its transform U is not canonical, and that
+loop is what defines it.
 
-Ranks and solves over Z use the fraction-free elimination of `intmat`. Q runs
-on the same integer engine: the complexes here are complexes of free
-Z-modules, so H(C (x) Q) = H(C) (x) Q, and a map between saturated integer
-bases is bijective over Q exactly when its integer determinant is nonzero.
+Ranks and solves over Z use the same HNF. Q runs on that integer engine
+too: the complexes here are complexes of free Z-modules, so
+H(C (x) Q) = H(C) (x) Q, and a map between saturated integer bases is
+bijective over Q exactly when its integer determinant is nonzero.
 Only F_p uses `_rref`, which is row-sparse: each pivot row updates the other
 rows in its nonzero columns only, with the reduction mod p inline.
 
@@ -39,12 +39,18 @@ from __future__ import annotations
 
 import heapq
 import re
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, islice
 
-from .intmat import IntMatrix, SparseIntMatrix, _echelon_pivots, _gauss_jordan_ff, _substitute, solve_int
+from .intmat import (
+    IntMatrix,
+    SparseIntMatrix,
+    _echelon_pivots,
+    _pivots_over_q,
+    _row_hnf,
+    _substitute,
+    solve_int,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -177,110 +183,6 @@ class RingTag:
 
 # ---------------------------------------------------------------------------
 # Hermite and Smith normal forms
-
-
-def _xgcd(a, b):
-    """(g, s, t) with g = gcd(a, b) > 0 and g = s*a + t*b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
-
-
-def _lead(row, start, ncols):
-    """The first column in [start, ncols) where `row` is nonzero, else ncols."""
-    return next(compress(count(start), islice(row, start, ncols)), ncols)
-
-
-def _row_hnf(rows, ncols):
-    """In-place row-style HNF of the first `ncols` columns of the int lists
-    `rows`; returns the rank r, and rows[r:] are zero in those columns.
-    Pivots are positive and entries above a pivot are reduced into [0, pivot).
-
-    HNF by insertion: the pivot rows found so far are kept by pivot column,
-    and each row is inserted in turn. At an occupied pivot column the row
-    loses its entry by an exact multiple of the pivot row when the pivot
-    divides it, and otherwise by a unimodular extended-gcd step on the two
-    rows, after which the pivot is the gcd. A row that reaches a free column
-    becomes the pivot row there; one that runs out of columns is a zero row.
-    Each new or changed pivot row is reduced at the later pivot columns at
-    once, which keeps the entries small: without it dense inputs blow up,
-    and trailing columns with them. One back-reduction pass in pivot order
-    then gives the canonical form.
-
-    Full-lattice exit: when no columns ride along and there are `ncols`
-    unit pivots, the lattice is all of Z^ncols, and the rows not yet
-    inserted are returned as zero rows without being read. A stack of many
-    generators of a full lattice (the modules at the vertex of a Bergman
-    fan) stops after a few dozen rows.
-    """
-    ride = bool(rows) and len(rows[0]) > ncols
-    pivots = {}  # pivot column -> its row
-    order = []  # the pivot columns, sorted
-    zero = []
-    units = 0
-
-    def reduce_later(prow, c):
-        # A pivot row is zero left of its pivot, so reducing at the later
-        # pivot columns in increasing order never undoes an earlier step.
-        for c2 in order[bisect_right(order, c):]:
-            q = prow[c2] // pivots[c2][c2]
-            if q:
-                prow[:] = [x - q * y for x, y in zip(prow, pivots[c2])]
-
-    for k, row in enumerate(rows):
-        if units == ncols and not ride:
-            zero.extend([0] * ncols for _ in range(len(rows) - k))
-            break
-        c = _lead(row, 0, ncols)
-        while c < ncols:
-            prow = pivots.get(c)
-            x = row[c]
-            if prow is None:
-                if x < 0:
-                    row = [-y for y in row]
-                    x = -x
-                if order and order[-1] > c:
-                    reduce_later(row, c)
-                pivots[c] = row
-                insort(order, c)
-                units += x == 1
-                break
-            a = prow[c]
-            q, rem = divmod(x, a)
-            if not rem:
-                row = [y - q * z for y, z in zip(row, prow)]
-            else:
-                # The pivot becomes g = gcd(a, x) and the row loses its entry
-                # at c; the 2x2 step [[s, t], [-x/g, a/g]] has determinant 1.
-                g, s, t = _xgcd(a, x)
-                u, v = a // g, x // g
-                pairs = list(zip(prow, row))
-                prow = [s * y + t * z for y, z in pairs]
-                row = [u * z - v * y for y, z in pairs]
-                if order[-1] > c:
-                    reduce_later(prow, c)
-                pivots[c] = prow
-                units += g == 1
-            c = _lead(row, c + 1, ncols)
-        else:
-            zero.append(row)
-    # Back-reduction: reducing at pivot c changes an earlier pivot row only
-    # at columns after c, which come later in this pass.
-    done = []
-    for c in order:
-        prow = pivots[c]
-        piv = prow[c]
-        for i, row in enumerate(done):
-            q = row[c] // piv
-            if q:
-                done[i] = [x - q * y for x, y in zip(row, prow)]
-        done.append(prow)
-    rows[:] = done + zero
-    return len(done)
 
 
 def hermite_normal_form(m: IntMatrix):
@@ -449,12 +351,13 @@ def kernel_lattice(m: IntMatrix) -> IntMatrix:
 
 
 def saturate(b: IntMatrix) -> IntMatrix:
-    """Saturation of the column lattice of b (columns must be independent)."""
+    """Saturation of the column lattice of b (columns must be independent,
+    which the rank of the orthogonal lattice, b.rows - b.cols, shows)."""
     if b.cols == 0:
         return b.copy()
-    if len(_pivots_over_q(b)) != b.cols:
-        raise ValueError("saturate requires linearly independent columns")
     perp = kernel_lattice(b.transpose())
+    if perp.cols != b.rows - b.cols:
+        raise ValueError("saturate requires linearly independent columns")
     return kernel_lattice(perp.transpose())
 
 
@@ -465,11 +368,6 @@ def lattice_contains(basis: IntMatrix, vector) -> bool:
         basis = hnf_basis(basis)
         pivots = _echelon_pivots(basis)
     return _substitute(basis, pivots, [[x] for x in vector]) is not None
-
-
-def _pivots_over_q(m: IntMatrix):
-    """Pivot column indices of m over Q (its rank is their count)."""
-    return _gauss_jordan_ff([row[:] for row in m.data], m.cols)
 
 
 def rank_over_q(m: IntMatrix) -> int:
@@ -516,10 +414,6 @@ def _rref(a, cols, p):
         pivots.append(c)
         r += 1
     return pivots
-
-
-def rank_field(m: IntMatrix, ring: RingTag) -> int:
-    return len(_rref(field_matrix(m, ring), m.cols, ring.p))
 
 
 def kernel_field(m: IntMatrix, ring: RingTag):

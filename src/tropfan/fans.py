@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 
-from .intmat import IntMatrix, _echelon_pivots, det_int
-from .exact import RingTag, _pivots_over_q, hnf_basis, rank_over_q, saturate
+from .intmat import IntMatrix, _echelon_pivots, _pivots_over_q, det_int
+from .exact import RingTag, hnf_basis, rank_over_q, saturate
 
 # The largest face count a fan may have. It admits the Bergman fan of U(5,7)
 # (3,151 faces) and bounds the cost of a document before any face is built.
@@ -310,10 +310,12 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
         maximal_sets.append(s)
 
     face_sets = set()
+    cones = {}
     if explicit_faces is None:
         for s in maximal_sets:
             mat = IntMatrix.from_cols([list(rays[i]) for i in s], rows=ambient_rank)
-            if rank_over_q(mat) != len(s):
+            basis = _face_basis(mat)
+            if basis.cols != len(s):
                 raise ValueError(
                     f"maximal cone {s} is not simplicial; supply explicit_faces"
                 )
@@ -321,6 +323,8 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
             if 2 ** len(s) > MAX_FACES:
                 raise _too_many_faces(2 ** len(s))
             _check_wedge_rank(ambient_rank, len(s))
+            # The basis that ranked the cone is its face's basis.
+            cones[s] = Cone(s, _orient_basis(basis, mat), basis.cols)
             for k in range(len(s) + 1):
                 for sub in combinations(s, k):
                     face_sets.add(sub)
@@ -340,8 +344,9 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
         _check_wedge_rank(ambient_rank, rank_over_q(mat))
     face_sets.add(())
 
-    cones = {}
     for s in face_sets:
+        if s in cones:
+            continue
         mat = IntMatrix.from_cols([list(rays[i]) for i in s], rows=ambient_rank)
         basis = _face_basis(mat)
         basis = _orient_basis(basis, mat)

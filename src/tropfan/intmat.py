@@ -6,19 +6,22 @@ in the package; nothing here is numeric-approximate. The Borel-Moore
 differentials, which are mostly zeros, are `SparseIntMatrix`es: one dict of
 nonzeros per row, with the list-of-lists form built only when it is read.
 
-Linear systems over Z and Q are solved by one fraction-free Gauss-Jordan
-elimination on Python ints (`_gauss_jordan_ff`): a rational solution is read
-off as integer numerators over a pivot, so no Fraction arithmetic runs inside
-the elimination. An integral solve against a matrix in column echelon form,
-such as a canonical HNF basis, is forward substitution instead
-(`_substitute`).
+Ranks, pivot columns and linear systems over Z and Q share one elimination
+on Python ints, the insertion HNF (`_row_hnf`); `exact` builds its lattice
+bases on it too. The lead columns of the HNF of a matrix's rows are its
+first independent columns, so their count is its rank over Q. A system
+a*X = b is solved on the HNF of [a | b], whose row operations are
+unimodular: with a of full column rank its top rows are triangular, and
+back substitution divides exactly over Z and in Fractions over Q. An
+integral solve against a matrix in column echelon form, such as a canonical
+HNF basis, is forward substitution instead (`_substitute`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from itertools import chain, compress, count, islice
 from operator import ne
 
 
@@ -217,72 +220,143 @@ def det_int(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _gauss_jordan_ff(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of the first `ncols` columns.
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) > 0 and g = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
-    `rows` is a list of int lists, reduced in place; row operations act on
-    whole rows, so trailing columns (a right-hand side) ride along. Pivots
-    are chosen column by column, each from the first remaining row with a
-    nonzero entry, exactly as Gaussian elimination over Q would choose them.
-    On return rows[k] is a positive integer multiple of the k-th row of the
-    reduced row echelon form over Q, so its pivot entry is positive and the
-    other pivot columns are zero. Only the nonzero columns of the pivot row
-    are updated, and an updated row that had to be scaled is divided by its
-    content, which keeps the entries small. Returns the pivot columns.
+
+def _lead(row, start, ncols):
+    """The first column in [start, ncols) where `row` is nonzero, else ncols."""
+    return next(compress(count(start), islice(row, start, ncols)), ncols)
+
+
+def _row_hnf(rows, ncols):
+    """In-place row-style HNF of the first `ncols` columns of the int lists
+    `rows`; returns the rank r, and rows[r:] are zero in those columns.
+    Pivots are positive and entries above a pivot are reduced into [0, pivot).
+
+    HNF by insertion: the pivot rows found so far are kept by pivot column,
+    and each row is inserted in turn. At an occupied pivot column the row
+    loses its entry by an exact multiple of the pivot row when the pivot
+    divides it, and otherwise by a unimodular extended-gcd step on the two
+    rows, after which the pivot is the gcd. A row that reaches a free column
+    becomes the pivot row there; one that runs out of columns is a zero row.
+    Each new or changed pivot row is reduced at the later pivot columns at
+    once, which keeps the entries small: without it dense inputs blow up,
+    and trailing columns with them. One back-reduction pass in pivot order
+    then gives the canonical form.
+
+    Full-lattice exit: when no columns ride along and there are `ncols`
+    unit pivots, the lattice is all of Z^ncols, and the rows not yet
+    inserted are returned as zero rows without being read. A stack of many
+    generators of a full lattice (the modules at the vertex of a Bergman
+    fan) stops after a few dozen rows.
     """
-    pivots = []
-    n = len(rows)
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, n) if rows[i][c]), None)
-        if p is None:
-            continue
-        prow = rows[p]
-        rows[p] = rows[r]
-        if prow[c] < 0:
-            prow = [-x for x in prow]
-        rows[r] = prow
+    ride = bool(rows) and len(rows[0]) > ncols
+    pivots = {}  # pivot column -> its row
+    order = []  # the pivot columns, sorted
+    zero = []
+    units = 0
+
+    def reduce_later(prow, c):
+        # A pivot row is zero left of its pivot, so reducing at the later
+        # pivot columns in increasing order never undoes an earlier step.
+        for c2 in order[bisect_right(order, c):]:
+            q = prow[c2] // pivots[c2][c2]
+            if q:
+                prow[:] = [x - q * y for x, y in zip(prow, pivots[c2])]
+
+    for k, row in enumerate(rows):
+        if units == ncols and not ride:
+            zero.extend([0] * ncols for _ in range(len(rows) - k))
+            break
+        c = _lead(row, 0, ncols)
+        while c < ncols:
+            prow = pivots.get(c)
+            x = row[c]
+            if prow is None:
+                if x < 0:
+                    row = [-y for y in row]
+                    x = -x
+                if order and order[-1] > c:
+                    reduce_later(row, c)
+                pivots[c] = row
+                insort(order, c)
+                units += x == 1
+                break
+            a = prow[c]
+            q, rem = divmod(x, a)
+            if not rem:
+                row = [y - q * z for y, z in zip(row, prow)]
+            else:
+                # The pivot becomes g = gcd(a, x) and the row loses its entry
+                # at c; the 2x2 step [[s, t], [-x/g, a/g]] has determinant 1.
+                g, s, t = _xgcd(a, x)
+                u, v = a // g, x // g
+                pairs = list(zip(prow, row))
+                prow = [s * y + t * z for y, z in pairs]
+                row = [u * z - v * y for y, z in pairs]
+                if order[-1] > c:
+                    reduce_later(prow, c)
+                pivots[c] = prow
+                units += g == 1
+            c = _lead(row, c + 1, ncols)
+        else:
+            zero.append(row)
+    # Back-reduction: reducing at pivot c changes an earlier pivot row only
+    # at columns after c, which come later in this pass.
+    done = []
+    for c in order:
+        prow = pivots[c]
         piv = prow[c]
-        support = [j for j, x in enumerate(prow) if x]
-        for i in range(n):
-            row = rows[i]
-            f = row[c]
-            if not f or i == r:
-                continue
-            g = gcd(piv, f)
-            scale, f = piv // g, f // g
-            if scale != 1:
-                row = [scale * x for x in row]
-            for j in support:
-                row[j] -= f * prow[j]
-            if scale != 1:
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-            rows[i] = row
-        pivots.append(c)
-        r += 1
-    return pivots
+        for i, row in enumerate(done):
+            q = row[c] // piv
+            if q:
+                done[i] = [x - q * y for x, y in zip(row, prow)]
+        done.append(prow)
+    rows[:] = done + zero
+    return len(done)
 
 
-def _solve_ff(a: IntMatrix, b: IntMatrix):
-    """Solve a*X = b for a with full column rank, without fractions.
+def _pivots_over_q(m: IntMatrix):
+    """Pivot column indices of m over Q (its rank is their count): the lead
+    columns of its row HNF, which are its first independent columns."""
+    rows = [row[:] for row in m.data]
+    return [_lead(row, 0, m.cols) for row in rows[: _row_hnf(rows, m.cols)]]
 
-    Returns one (pivot, numerators) pair per row of X: that row is the
-    numerators divided by the pivot, which is positive. Raises ValueError
-    when the shapes differ, when a has dependent columns or when the system
-    is inconsistent, checked in that order.
+
+def _solve_hnf(a: IntMatrix, b: IntMatrix, divide):
+    """The rows of X with a*X = b, for a with full column rank, from the HNF
+    of [a | b]: its top rows are triangular with pivot k in column k, and
+    back substitution calls `divide(n, pivot)` for each entry n/pivot of X.
+    Raises ValueError when the shapes differ, when a has dependent columns
+    or when the system is inconsistent, checked in that order.
     """
-    rows, cols = a.rows, a.cols
-    if b.rows != rows:
+    cols = a.cols
+    if b.rows != a.rows:
         raise ValueError("shape mismatch in solve")
     aug = [ra + rb for ra, rb in zip(a.data, b.data)]
-    if len(_gauss_jordan_ff(aug, cols)) != cols:
+    if _row_hnf(aug, cols) != cols:
         raise ValueError("matrix does not have full column rank")
     # Consistency: rows beyond the pivot rows must be zero on the rhs too.
     if any(any(row[cols:]) for row in aug[cols:]):
         raise ValueError("inconsistent system")
-    return [(row[k], row[cols:]) for k, row in enumerate(aug[:cols])]
+    x = [None] * cols
+    for k in reversed(range(cols)):
+        row = aug[k]
+        rhs = row[cols:]
+        for i in range(k + 1, cols):
+            f = row[i]
+            if f:
+                rhs = [y - f * z for y, z in zip(rhs, x[i])]
+        x[k] = [divide(y, row[k]) for y in rhs]
+    return x
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix):
@@ -292,7 +366,7 @@ def solve_exact(a: IntMatrix, b: IntMatrix):
     raises ValueError when the system is inconsistent or a has dependent
     columns. a may be rectangular (rows >= cols).
     """
-    return [[Fraction(x, piv) for x in nums] for piv, nums in _solve_ff(a, b)]
+    return _solve_hnf(a, b, Fraction)
 
 
 def _echelon_pivots(a: IntMatrix):
@@ -328,24 +402,24 @@ def _substitute(a: IntMatrix, pivots, rows):
     return None if any(map(any, rows)) else x
 
 
+def _divide_exactly(n, d):
+    q, rem = divmod(n, d)
+    if rem:
+        raise ValueError("solution is not integral")
+    return q
+
+
 def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Solve a*X = b insisting on an integral solution.
 
     Against a in column echelon form this is forward substitution; any
-    failure there, or any other a, goes through the fraction-free
-    elimination, which raises the ValueError that describes it.
+    failure there, or any other a, goes through the HNF of [a | b]
+    (`_solve_hnf`), which raises the ValueError that describes it. Its row
+    operations are unimodular, so an integral solution survives them.
     """
     pivots = _echelon_pivots(a) if a.rows == b.rows else None
     if pivots is not None:
         x = _substitute(a, pivots, list(b.data))
         if x is not None:
             return IntMatrix._adopt(a.cols, b.cols, x)
-    out = []
-    for piv, nums in _solve_ff(a, b):
-        if piv != 1:
-            quotients = [divmod(x, piv) for x in nums]
-            if any(rem for _, rem in quotients):
-                raise ValueError("solution is not integral")
-            nums = [q for q, _ in quotients]
-        out.append(nums)
-    return IntMatrix(a.cols, b.cols, out)
+    return IntMatrix._adopt(a.cols, b.cols, _solve_hnf(a, b, _divide_exactly))

@@ -569,6 +569,79 @@ def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, rin
 
 
 # ---------------------------------------------------------------------------
+# The fraction-free Gauss-Jordan elimination that every rank and solve over
+# Z and Q ran before the insertion HNF took them over, kept verbatim.
+
+
+def _gauss_jordan_ff(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of the first `ncols` columns.
+
+    `rows` is a list of int lists, reduced in place; row operations act on
+    whole rows, so trailing columns (a right-hand side) ride along. Pivots
+    are chosen column by column, each from the first remaining row with a
+    nonzero entry, exactly as Gaussian elimination over Q would choose them.
+    On return rows[k] is a positive integer multiple of the k-th row of the
+    reduced row echelon form over Q, so its pivot entry is positive and the
+    other pivot columns are zero. Only the nonzero columns of the pivot row
+    are updated, and an updated row that had to be scaled is divided by its
+    content, which keeps the entries small. Returns the pivot columns.
+    """
+    pivots = []
+    n = len(rows)
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        prow = rows[p]
+        rows[p] = rows[r]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        rows[r] = prow
+        piv = prow[c]
+        support = [j for j, x in enumerate(prow) if x]
+        for i in range(n):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(piv, f)
+            scale, f = piv // g, f // g
+            if scale != 1:
+                row = [scale * x for x in row]
+            for j in support:
+                row[j] -= f * prow[j]
+            if scale != 1:
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _solve_ff(a: IntMatrix, b: IntMatrix):
+    """Solve a*X = b for a with full column rank, without fractions.
+
+    Returns one (pivot, numerators) pair per row of X: that row is the
+    numerators divided by the pivot, which is positive. Raises ValueError
+    when the shapes differ, when a has dependent columns or when the system
+    is inconsistent, checked in that order.
+    """
+    rows, cols = a.rows, a.cols
+    if b.rows != rows:
+        raise ValueError("shape mismatch in solve")
+    aug = [ra + rb for ra, rb in zip(a.data, b.data)]
+    if len(_gauss_jordan_ff(aug, cols)) != cols:
+        raise ValueError("matrix does not have full column rank")
+    # Consistency: rows beyond the pivot rows must be zero on the rhs too.
+    if any(any(row[cols:]) for row in aug[cols:]):
+        raise ValueError("inconsistent system")
+    return [(row[k], row[cols:]) for k, row in enumerate(aug[:cols])]
+
+
+# ---------------------------------------------------------------------------
 # Fan and module construction as it was before solves against echelon bases
 # became forward substitution, kept verbatim as oracles for it.
 
@@ -576,8 +649,6 @@ def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, rin
 def oracle_solve_int_elimination(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Solve a*X = b insisting on an integral solution, always through the
     fraction-free elimination."""
-    from tropfan.intmat import _solve_ff
-
     out = []
     for piv, nums in _solve_ff(a, b):
         if piv != 1:
@@ -592,7 +663,7 @@ def oracle_solve_int_elimination(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def oracle_coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
     """Sign of det(X) for the square solution X of basis * X = mat, from the
     numerators of the fraction-free solution."""
-    from tropfan.intmat import _solve_ff, det_int
+    from tropfan.intmat import det_int
 
     rows = [nums for _, nums in _solve_ff(basis, mat)]
     det = det_int(IntMatrix(len(rows), mat.cols, rows))
@@ -612,8 +683,6 @@ def oracle_orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
     """Flip the last basis column if needed so the basis orientation matches
     the orientation of the first independent rays in index order, found by
     prefix rank tests."""
-    from tropfan.exact import rank_over_q
-
     k = basis.cols
     if k == 0:
         return basis
@@ -621,7 +690,7 @@ def oracle_orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
     for j in range(ray_matrix.cols):
         cand = chosen + [j]
         sub = ray_matrix.submatrix(range(ray_matrix.rows), cand)
-        if rank_over_q(sub) == len(cand):
+        if oracle_rank_field(sub, Q) == len(cand):
             chosen = cand
         if len(chosen) == k:
             break

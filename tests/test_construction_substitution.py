@@ -6,10 +6,11 @@ forward instead of eliminating; a face whose rays' HNF has unit pivots skips
 saturation; a face with as many rays as its rank orients on all of them and
 takes its incidence signs from ray positions; and `wedge_basis` builds its
 minors by Laplace expansion. The oracles in helpers.py are the previous
-code: the fraction-free solve, saturation of every face, prefix rank tests,
-solved incidence signs, one determinant per minor, and the rank-based
-matroid closure. Solutions of full-column-rank systems are unique and HNF is
-canonical, so the results must agree exactly, errors included.
+code: the fraction-free Gauss-Jordan solve, saturation of every face,
+prefix rank tests, solved incidence signs, one determinant per minor, and
+the rank-based matroid closure. Solutions of full-column-rank systems are
+unique and HNF is canonical, so the results must agree exactly, errors
+included.
 """
 
 import time
@@ -125,10 +126,10 @@ def test_lattice_contains_agrees_with_integral_solve(system):
 
 
 def test_echelon_solve_never_eliminates(monkeypatch):
-    def refuse(a, b):
+    def refuse(a, b, divide):
         raise AssertionError("eliminated")
 
-    monkeypatch.setattr(intmat, "_solve_ff", refuse)
+    monkeypatch.setattr(intmat, "_solve_hnf", refuse)
     a = IntMatrix.from_rows([[2, 0], [1, -1], [5, 3]])
     x = IntMatrix.from_rows([[3, -1, 0], [-2, 4, 0]])
     assert solve_int(a, a * x) == x
@@ -138,8 +139,8 @@ def test_echelon_solve_never_eliminates(monkeypatch):
 
 def test_construction_solves_by_substitution_only(monkeypatch):
     calls = []
-    real = intmat._solve_ff
-    monkeypatch.setattr(intmat, "_solve_ff", lambda a, b: calls.append(1) or real(a, b))
+    real = intmat._solve_hnf
+    monkeypatch.setattr(intmat, "_solve_hnf", lambda a, b, divide: calls.append(1) or real(a, b, divide))
     fan = bergman_fan(Matroid.uniform(3, 5)).fan
     for p in range(fan.dim + 1):
         mod = fan.multitangent(p)

@@ -1,4 +1,4 @@
-"""The fraction-free and row-sparse elimination kernels against oracles.
+"""The insertion HNF and row-sparse elimination kernels against oracles.
 
 The oracles in helpers.py are the Fraction Gauss-Jordan elimination that the
 kernels replaced, and the HNF that carried its transform as a separate
@@ -27,11 +27,10 @@ from tropfan.exact import (
     homology_of_pair,
     kernel_field,
     kernel_lattice,
-    rank_field,
     rank_over_q,
 )
 from tropfan.fans import WeightedFan
-from tropfan.intmat import IntMatrix, det_int, solve_exact, solve_int
+from tropfan.intmat import IntMatrix, _pivots_over_q, det_int, solve_exact, solve_int
 from tropfan.io import parse_fan
 from tropfan.matroids import Matroid, bergman_fan
 
@@ -43,6 +42,7 @@ from helpers import (
     oracle_hermite_normal_form,
     oracle_hnf_basis,
     oracle_kernel_field,
+    oracle_field_matrix,
     oracle_kernel_lattice,
     oracle_rank_field,
     oracle_row_hnf,
@@ -68,10 +68,11 @@ def int_matrices(draw, rows=None, cols=None, entries=st.integers(-4, 4)):
 def systems(draw):
     """a*X = b with a mix of consistent, inconsistent, rank-deficient and
     non-integral systems: b is a*X plus an optional perturbation, all over
-    a scale that may make the solution fractional."""
+    a scale that may make the solution fractional. b may have no columns,
+    which leaves only the rank of a to decide."""
     cols = draw(st.integers(0, 4))
     a = draw(int_matrices(rows=draw(st.integers(max(cols - 1, 0), 6)), cols=cols))
-    x = draw(int_matrices(rows=a.cols, cols=draw(st.integers(1, 3))))
+    x = draw(int_matrices(rows=a.cols, cols=draw(st.integers(0, 3))))
     b = a * x
     if draw(st.booleans()):
         b = b + draw(int_matrices(rows=b.rows, cols=b.cols, entries=st.integers(-1, 1)))
@@ -105,7 +106,6 @@ def test_solve_int_matches_oracle(system):
 @given(int_matrices(), st.sampled_from([F3, F7]))
 def test_field_kernel_and_rank_match_oracle(m, ring):
     assert kernel_field(m, ring) == oracle_kernel_field(m, ring)
-    assert rank_field(m, ring) == oracle_rank_field(m, ring)
 
 
 @PROPERTY
@@ -124,6 +124,14 @@ def lattice_generators(draw):
     inner = draw(st.integers(0, 3))
     a = draw(int_matrices(cols=inner))
     return a * draw(int_matrices(rows=inner))
+
+
+@PROPERTY
+@given(st.one_of(int_matrices(), lattice_generators()))
+def test_pivots_over_q_are_the_oracle_rref_pivots(m):
+    # The lead columns of the row HNF are the first independent columns,
+    # which are the pivot columns of the reduced row echelon form over Q.
+    assert _pivots_over_q(m) == oracle_rref_p(oracle_field_matrix(m, Q), m.cols)
 
 
 @PROPERTY

@@ -176,8 +176,12 @@ class TestSaturate:
         assert saturate(b) == b
 
     def test_dependent_columns_error(self):
-        with pytest.raises(ValueError):
+        message = "saturate requires linearly independent columns"
+        with pytest.raises(ValueError, match=message):
             saturate(IntMatrix.from_cols([[1, 2], [2, 4]]))
+        # More columns than rows: never independent.
+        with pytest.raises(ValueError, match=message):
+            saturate(IntMatrix.from_cols([[1, 0], [0, 1], [1, 1]]))
 
     def test_same_rational_span_random(self):
         rng = random.Random(19)

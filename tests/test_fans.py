@@ -222,6 +222,14 @@ def test_face_bound_is_checked_before_the_subsets_are_enumerated(monkeypatch):
         build_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [[0, 1, 2, 3]], explicit_faces=faces)
 
 
+def test_non_simplicial_cone_is_rejected_before_the_face_bound():
+    # 13 rays in rank 3 would have 2^13 = 8192 subsets, over MAX_FACES, but
+    # the cone is rejected for being non-simplicial first.
+    rays = [(1, i, 1) for i in range(13)]
+    with pytest.raises(ValueError, match=r"maximal cone \(0, 1, .*, 12\) is not simplicial"):
+        build_fan(3, rays, [range(13)])
+
+
 def test_wedge_rank_bound_is_checked_before_the_faces_are_built():
     wide = [tuple(int(i == j) for j in range(60)) for i in range(6)]
     with pytest.raises(ValueError, match=r"6-dimensional cone in rank 60 needs C\(60, 6\) = 50063860"):
