@@ -39,7 +39,7 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="tropfan", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, fan=True, matroid=False, needs_p=False, needs_face=False, out=False):
+    def add(name, help_, fan=True, matroid=False, needs_p=False, needs_face=False):
         p = sub.add_parser(name, help=help_)
         if fan:
             p.add_argument("--fan", required=True, help="path to a fan document")
@@ -75,11 +75,11 @@ def _emit(text, args):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _report(args, results, witnesses=None, inputs=None):
+def _report(args, results, witnesses=None):
     return json.dumps(
         {
             "command": args.command,
-            "inputs": inputs or _inputs(args),
+            "inputs": _inputs(args),
             "results": results,
             "witnesses": witnesses or {},
         },

@@ -11,16 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import (
-    GroupPresentation,
-    RingTag,
-    homology_of_pair,
-    kernel_field,
-    kernel_lattice,
-    solve_field,
-)
+from .exact import GroupPresentation, RingTag, _coords_in_kernel, _kernel_basis, homology_of_pair
 from .fans import ConeView, Fan, WeightedFan
-from .intmat import IntMatrix, SparseIntMatrix, solve_int
+from .intmat import IntMatrix, SparseIntMatrix
 
 
 @dataclass
@@ -89,15 +82,10 @@ class _KernelEntry(HomologyEntry):
 
     @cached_property
     def kernel(self) -> IntMatrix:
-        """The kernel basis of the top differential, as the columns of a
-        matrix: the saturated integer kernel lattice over Z and Q (a
-        saturated integer basis is also a Q-basis), the mod-p kernel over
-        F_p. Built once, on first read: by the representatives, the star
-        row, or a cap whose verdict or witness needs kernel coordinates."""
-        if self.ring.kind == "Fp":
-            cols = kernel_field(self.top, self.ring)
-            return IntMatrix.from_cols(cols, rows=self.top.cols) if cols else IntMatrix(self.top.cols, 0)
-        return kernel_lattice(self.top)
+        """The kernel basis of the top differential (`_kernel_basis`).
+        Built once, on first read: by the representatives, the star row, or
+        a cap whose verdict or witness needs kernel coordinates."""
+        return _kernel_basis(self.top, self.ring)
 
     @property
     def representatives(self):
@@ -395,23 +383,3 @@ def star_row_complex(wf: WeightedFan, p: int, ring: RingTag) -> ChainComplex:
         diffs[r] = mat
     return ChainComplex("cohomological", ring, degrees, blocks, diffs)
 
-
-def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
-    """Coordinates of integer columns in a star kernel basis from
-    `_star_kernel`, one coordinate column per column.
-
-    Over Z and Q the basis is saturated, so an integer column in its span
-    has integer coordinates. Over F_p the mod-p kernel is solved mod p. A
-    column outside the span raises ValueError, which means an incidence-sign
-    or balancing bug. The columns hold ints: caps are taken against the
-    integer `fundamental_chain`, and kernel bases are integral.
-    """
-    if kern.cols == 0:
-        if not all(ring.is_zero(x) for col in columns for x in col):
-            raise ValueError("image does not lie in the kernel")
-        return [[] for _ in columns]
-    if not columns:
-        return []
-    if ring.kind == "Fp":
-        return solve_field(kern.columns(), [[x % ring.p for x in col] for col in columns], ring)
-    return solve_int(kern, IntMatrix.from_cols(columns, rows=kern.rows)).columns()

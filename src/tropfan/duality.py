@@ -15,9 +15,8 @@ from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .complexes import _coords_in_kernel, _layout, _star, _star_kernel
-from .complexes import star_bm_complex, star_homology_table
-from .exact import RingTag, _rank_and_torsion, _unit_pivot_reduce
+from .complexes import _layout, _star, _star_kernel, star_bm_complex, star_homology_table
+from .exact import RingTag, _coords_in_kernel, _rank_and_torsion, _unit_pivot_reduce
 from .fans import Fan, WeightedFan
 from .intmat import IntMatrix, SparseIntMatrix, det_int
 

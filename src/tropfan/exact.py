@@ -7,21 +7,22 @@ Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
 
 The eliminations (`intmat._row_hnf`, `_rref`) reduce int rows in place by
-whole-row operations, so trailing columns ride along: `kernel_lattice`
-appends an identity block to record the transform, and `hnf_basis`, which
-needs none, appends nothing. `_row_hnf` computes the HNF by insertion, each
-row reduced against the pivot rows found so far, and stops early when the
-rows found so far generate the whole lattice; since the HNF is canonical,
-its bases do not depend on the order of elimination. `hermite_normal_form`
-keeps its own Euclidean loop: its transform U is not canonical, and that
-loop is what defines it.
+whole-row operations, so trailing columns ride along: `kernel_lattice` and
+`hermite_normal_form` append an identity block to record the transform,
+and `hnf_basis`, which needs none, appends nothing. `_row_hnf` computes the
+HNF by insertion, each row reduced against the pivot rows found so far, and
+stops early when the rows found so far generate the whole lattice; since
+the HNF is canonical, its bases do not depend on the order of elimination.
 
 Ranks and solves over Z use the same HNF. Q runs on that integer engine
 too: the complexes here are complexes of free Z-modules, so
 H(C (x) Q) = H(C) (x) Q, and a map between saturated integer bases is
 bijective over Q exactly when its integer determinant is nonzero.
-Only F_p uses `_rref`, which is row-sparse: each pivot row updates the other
-rows in its nonzero columns only, with the reduction mod p inline.
+Only F_p has its own elimination, `_rref`, which is row-sparse: each pivot
+row updates the other rows in its nonzero columns only, with the reduction
+mod p inline. It gives the kernel mod p and, in the image, the choice of
+representatives. `_kernel_basis` and `_coords_in_kernel` decide, for every
+ring, which kernel basis is used and how coordinates in it are found.
 
 A homology group ker(d_out)/im(d_in) on Z^n is decided by ranks and
 invariant factors alone. ker(d_out) is saturated in Z^n, so the torsion of
@@ -31,8 +32,9 @@ over Q the free part of that, and over F_p its dimension is
 n - rank_p d_out - rank_p d_in. The ranks and factors come from eliminating
 unit pivots on sparse rows (`_unit_pivot_reduce`, after Kaczynski, Mrozek
 and Slusarek, 1998), with the dense SNF or rank on what is left.
-Representatives come from a kernel basis and the SNF of the image in it,
-and only a nontrivial group needs them.
+Representatives come from a kernel basis and the SNF of the image in it
+(its reduced echelon form mod p over F_p), and only a nontrivial group
+needs them.
 """
 
 from __future__ import annotations
@@ -185,49 +187,25 @@ class RingTag:
 # Hermite and Smith normal forms
 
 
+def _transform_hnf(m: IntMatrix):
+    """The row HNF of [m^T | I] and its rank r: its rows are [h | u] with
+    h = u m^T and u unimodular, and h vanishes on the rows r.. ."""
+    n = m.cols
+    rows = [col + [int(i == j) for i in range(n)] for j, col in enumerate(m.transpose().data)]
+    return rows, _row_hnf(rows, m.rows)
+
+
 def hermite_normal_form(m: IntMatrix):
     """Column-style HNF: returns (H, U) with H = m*U, U unimodular.
 
     Nonzero columns of H form the canonical basis of the column lattice of m;
     zero columns are pushed to the right. Pivots are positive and entries to
-    the left of a pivot in its row are reduced into [0, pivot).
+    the left of a pivot in its row are reduced into [0, pivot). U is one
+    such transform; it is not canonical.
     """
-    n = m.cols
-    rows = [m.column(j) + [int(i == j) for i in range(n)] for j in range(n)]
-    # Row HNF of [m^T | I] by Euclidean steps on whole rows. U is not
-    # canonical and this loop defines it, so it is not `_row_hnf`.
-    r = 0
-    for c in range(m.rows):
-        if r >= n:
-            break
-        # Euclidean reduction in column c on rows r..end.
-        while True:
-            nz = [i for i in range(r, n) if rows[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(rows[i][c]))
-            if i0 != r:
-                rows[r], rows[i0] = rows[i0], rows[r]
-            done = True
-            for i in range(r + 1, n):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if rows[r][c] != 0:
-            if rows[r][c] < 0:
-                rows[r] = [-x for x in rows[r]]
-            piv = rows[r][c]
-            for i in range(r):
-                q = rows[i][c] // piv
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-            r += 1
-    h = IntMatrix(n, m.rows, [row[: m.rows] for row in rows]).transpose()
-    u = IntMatrix(n, n, [row[m.rows :] for row in rows]).transpose()
+    rows, _ = _transform_hnf(m)
+    h = IntMatrix._adopt(m.cols, m.rows, [row[: m.rows] for row in rows]).transpose()
+    u = IntMatrix._adopt(m.cols, m.cols, [row[m.rows :] for row in rows]).transpose()
     return h, u
 
 
@@ -339,15 +317,12 @@ def invariant_factors(m: IntMatrix):
 
 def kernel_lattice(m: IntMatrix) -> IntMatrix:
     """Canonical basis of {x in Z^cols : m x = 0}; automatically saturated."""
-    # Row-reducing [m^T | I] gives rows [h | u] with h = u m^T and u
-    # unimodular; the u parts of the rows r.. where h vanishes are a basis of
-    # the kernel, and their HNF is the canonical one.
-    n = m.cols
-    rows = [col + [int(i == j) for i in range(n)] for j, col in enumerate(m.transpose().data)]
-    r = _row_hnf(rows, m.rows)
+    # The u parts of the rows of [h | u] where h vanishes are a basis of the
+    # kernel, and their HNF is the canonical one.
+    rows, r = _transform_hnf(m)
     basis = [row[m.rows :] for row in rows[r:]]
-    _row_hnf(basis, n)
-    return IntMatrix._adopt(len(basis), n, basis).transpose()
+    _row_hnf(basis, m.cols)
+    return IntMatrix._adopt(len(basis), m.cols, basis).transpose()
 
 
 def saturate(b: IntMatrix) -> IntMatrix:
@@ -434,20 +409,47 @@ def kernel_field(m: IntMatrix, ring: RingTag):
     return basis
 
 
-def solve_field(a_cols, b_cols, ring: RingTag):
-    """Solve A*X = B over F_p where A, B are given by columns of residues.
+# ---------------------------------------------------------------------------
+# Kernel bases and coordinates over a ring
 
-    Raises ValueError when inconsistent or when A has dependent columns.
+
+def _kernel_basis(m: IntMatrix, ring: RingTag) -> IntMatrix:
+    """The kernel basis of m over the ring, as the columns of a matrix: the
+    saturated integer kernel lattice over Z and Q (a saturated integer basis
+    is also a Q-basis), the reduced-echelon kernel mod p over F_p."""
+    if ring.kind == "Fp":
+        cols = kernel_field(m, ring)
+        return IntMatrix.from_cols(cols, rows=m.cols) if cols else IntMatrix(m.cols, 0)
+    return kernel_lattice(m)
+
+
+def _coords_in_kernel(kern: IntMatrix, columns, ring: RingTag):
+    """Coordinates of integer columns in a kernel basis from `_kernel_basis`,
+    one coordinate column per column.
+
+    Over Z and Q the basis is saturated, so an integer column in its span
+    has integer coordinates, found by forward substitution against the HNF
+    basis. Over F_p each basis column is 1 at its own free column and 0 at
+    the other free columns, and that free column is its last nonzero entry
+    (a reduced-echelon row is zero left of its pivot), so the coordinates
+    of a column are its entries there, mod p. A column outside the span
+    raises ValueError, which means an incidence-sign or balancing bug.
     """
-    n = len(a_cols[0]) if a_cols else (len(b_cols[0]) if b_cols else 0)
-    ca, cb = len(a_cols), len(b_cols)
-    aug = [[a_cols[j][i] for j in range(ca)] + [b_cols[j][i] for j in range(cb)] for i in range(n)]
-    pivots = _rref(aug, ca + cb, ring.p)
-    if any(c >= ca for c in pivots):
-        raise ValueError("inconsistent system over field")
-    if len(pivots) != ca:
-        raise ValueError("dependent columns in field solve")
-    return [[aug[r][ca + j] for r in range(ca)] for j in range(cb)]
+    if kern.cols == 0:
+        if not all(ring.is_zero(x) for col in columns for x in col):
+            raise ValueError("image does not lie in the kernel")
+        return [[] for _ in columns]
+    if not columns:
+        return []
+    if ring.kind != "Fp":
+        return solve_int(kern, IntMatrix.from_cols(columns, rows=kern.rows)).columns()
+    p = ring.p
+    free = [max(i for i, x in enumerate(col) if x) for col in kern.columns()]
+    coords = [[col[i] % p for i in free] for col in columns]
+    for col, x in zip(columns, coords):
+        if any((y - z) % p for y, z in zip(kern.mul_vector(x), col)):
+            raise ValueError("image does not lie in the kernel")
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -623,33 +625,23 @@ def _homology_with_representatives(boundary_in: IntMatrix, boundary_out: IntMatr
 
     Z and Q share the integer path. The matrices define free Z-modules, so
     the Q group is the free part of the Z group and its representatives are
-    the integer free generators. Only F_p eliminates mod p.
+    the integer free generators. Over F_p the kernel columns that the image
+    leaves out of its reduced echelon form are the representatives.
     """
-    if ring.kind == "Fp":
-        kb = kernel_field(boundary_out, ring)
-        if not kb:
-            return GroupPresentation(0), []
-        if boundary_in.cols == 0:
-            return GroupPresentation(len(kb)), kb
-        img_cols = field_matrix(boundary_in.transpose(), ring)
-        x = solve_field(kb, img_cols, ring)  # columns in kernel coordinates
-        k = len(kb)
-        pivot_rows = _rref(x, k, ring.p)
-        reps = []
-        for i in range(k):
-            if i not in pivot_rows:
-                reps.append(kb[i])
-        return GroupPresentation(len(reps)), reps
-
-    # Z and Q: SNF of the image expressed in the kernel lattice basis.
-    kmat = kernel_lattice(boundary_out)
+    kmat = _kernel_basis(boundary_out, ring)
     k = kmat.cols
     if k == 0:
         return GroupPresentation(0), []
     if boundary_in.cols == 0:
         return GroupPresentation(k), kmat.columns()
-    x = solve_int(kmat, boundary_in)  # integral since im lies in the kernel lattice
-    s, u, _ = smith_normal_form(x)
+    x = _coords_in_kernel(kmat, boundary_in.columns(), ring)  # the image in kernel coordinates
+    if ring.kind == "Fp":
+        pivots = _rref(x, k, ring.p)
+        reps = [col for i, col in enumerate(kmat.columns()) if i not in pivots]
+        return GroupPresentation(len(reps)), reps
+
+    # Z and Q: SNF of the image expressed in the kernel lattice basis.
+    s, u, _ = smith_normal_form(IntMatrix.from_cols(x, rows=k))
     u_inv = solve_int(u, IntMatrix.identity(u.rows))
     adapted = kmat * u_inv
     diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]

@@ -74,10 +74,6 @@ class IntMatrix:
             m.data[i][i] = 1
         return m
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
-
     def copy(self):
         return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
 

@@ -11,15 +11,10 @@ from math import gcd
 from tropfan.exact import (
     GroupPresentation,
     RingTag,
-    _rref,
-    field_matrix,
-    hermite_normal_form,
-    hnf_basis,
     homology_of_pair,
     kernel_field,
     kernel_lattice,
     smith_normal_form,
-    solve_field,
 )
 from tropfan.fans import WeightedFan, build_fan
 from tropfan.intmat import IntMatrix, solve_int
@@ -418,12 +413,12 @@ def oracle_kernel_lattice(m: IntMatrix) -> IntMatrix:
     and their HNF basis is the answer."""
     if m.rows == 0:
         return IntMatrix.identity(m.cols)
-    h, u = hermite_normal_form(m)
+    h, u = oracle_hermite_normal_form(m)
     zero_cols = [j for j in range(h.cols) if all(h.data[i][j] == 0 for i in range(h.rows))]
     basis = u.submatrix(range(u.rows), zero_cols)
     if basis.cols == 0:
         return basis
-    return hnf_basis(basis)
+    return oracle_hnf_basis(basis)
 
 
 def oracle_multitangent_bases(fan, p: int):
@@ -532,15 +527,15 @@ def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, rin
         raise ValueError("not a complex: boundary_out * boundary_in != 0")
 
     if ring.kind == "Fp":
-        kb = kernel_field(boundary_out, ring)
+        kb = oracle_kernel_field(boundary_out, ring)
         if not kb:
             return GroupPresentation(0), []
         if boundary_in.cols == 0:
             return GroupPresentation(len(kb)), kb
-        img_cols = field_matrix(boundary_in.transpose(), ring)
-        x = solve_field(kb, img_cols, ring)  # columns in kernel coordinates
+        img_cols = oracle_field_matrix(boundary_in.transpose(), ring)
+        x = oracle_solve_field(kb, img_cols, ring)  # columns in kernel coordinates
         k = len(kb)
-        pivot_rows = _rref(x, k, ring.p)
+        pivot_rows = oracle_rref_p(x, k, ring.p)
         reps = []
         for i in range(k):
             if i not in pivot_rows:

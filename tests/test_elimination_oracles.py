@@ -35,6 +35,7 @@ from tropfan.io import parse_fan
 from tropfan.matroids import Matroid, bergman_fan
 
 from helpers import (
+    F2,
     F3,
     Q,
     Z,
@@ -52,6 +53,7 @@ from helpers import (
     oracle_solve_int,
 )
 
+F5 = exact.RingTag.Fp(5)
 F7 = exact.RingTag.Fp(7)
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -108,6 +110,51 @@ def test_field_kernel_and_rank_match_oracle(m, ring):
     assert kernel_field(m, ring) == oracle_kernel_field(m, ring)
 
 
+@st.composite
+def field_kernel_cases(draw):
+    """A matrix over F_2, F_3 or F_5, integer columns that combine its
+    kernel basis there with the coefficients x, and one more column v."""
+    ring = draw(st.sampled_from([F2, F3, F5]))
+    m = draw(int_matrices())
+    x = draw(int_matrices(rows=exact._kernel_basis(m, ring).cols, cols=draw(st.integers(0, 3))))
+    v = draw(st.lists(st.integers(-6, 6), min_size=m.cols, max_size=m.cols))
+    return m, ring, x, v
+
+
+@PROPERTY
+@given(field_kernel_cases())
+def test_field_kernel_coordinates_match_the_field_solve(case):
+    # The coordinates are read off the free columns of the reduced-echelon
+    # basis; the oracle solves the augmented system.
+    m, ring, x, _ = case
+    kern = exact._kernel_basis(m, ring)
+    columns = (kern * x).columns()
+    coords = exact._coords_in_kernel(kern, columns, ring)
+    assert coords == [[y % ring.p for y in col] for col in x.columns()]
+    if kern.cols and columns:
+        assert coords == oracle_solve_field(kern.columns(), columns, ring)
+
+
+@PROPERTY
+@given(field_kernel_cases())
+@example((IntMatrix.identity(2), F3, IntMatrix(0, 2), [0, 3]))
+@example((IntMatrix.identity(2), F3, IntMatrix(0, 0), [1, 0]))
+@example((IntMatrix(0, 2), F2, IntMatrix(2, 0), [1, 3]))
+def test_columns_outside_the_field_kernel_are_rejected(case):
+    # A column has coordinates exactly when m kills it mod p; an empty
+    # kernel takes only columns that vanish mod p.
+    m, ring, _, v = case
+    kern = exact._kernel_basis(m, ring)
+    in_kernel = not any(y % ring.p for y in m.mul_vector(v))
+    try:
+        [coords] = exact._coords_in_kernel(kern, [v], ring)
+    except ValueError as e:
+        assert str(e) == "image does not lie in the kernel" and not in_kernel
+    else:
+        assert in_kernel and len(coords) == kern.cols
+        assert all((y - z) % ring.p == 0 for y, z in zip(kern.mul_vector(coords), v))
+
+
 @PROPERTY
 @given(int_matrices())
 def test_rank_over_q_matches_oracle_and_sympy(m):
@@ -137,8 +184,11 @@ def test_pivots_over_q_are_the_oracle_rref_pivots(m):
 @PROPERTY
 @given(lattice_generators())
 def test_hermite_normal_form_matches_the_explicit_transform_oracle(m):
+    # H is canonical; U is any unimodular transform with m*U = H.
     h, u = hermite_normal_form(m)
-    assert (h, u) == oracle_hermite_normal_form(m)
+    assert h == oracle_hermite_normal_form(m)[0]
+    assert m * u == h
+    assert abs(det_int(u)) == 1
     assert hnf_basis(m) == oracle_hnf_basis(m)
 
 

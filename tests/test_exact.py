@@ -72,7 +72,7 @@ class TestHermite:
         # elementary column operations must not change it.
         rng = random.Random(7)
         for _ in range(30):
-            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
             m = random_matrix(rng, rows, cols)
             h, u = hermite_normal_form(m)
             assert m * u == h
