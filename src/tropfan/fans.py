@@ -229,9 +229,16 @@ def _face_basis(rays_matrix: IntMatrix) -> IntMatrix:
     on every unimodular face, Bergman fans included.
     """
     h = hnf_basis(rays_matrix)
-    if all(next(x for x in col if x) == 1 for col in h.columns()):
+    # The HNF rows are h's columns; each one's first nonzero is its pivot.
+    if all(next(filter(None, row)) == 1 for row in zip(*h.data)):
         return h
     return saturate(h)
+
+
+def _ray_matrix(rays, s, n) -> IntMatrix:
+    """The rays with indices in s, as the columns of an n-row matrix. The
+    rays are tuples of ints already (see `build_fan`)."""
+    return IntMatrix._adopt(n, len(s), [[rays[i][k] for i in s] for k in range(n)])
 
 
 def _orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
@@ -246,10 +253,7 @@ def _orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
         # The pivot columns are the first k independent rays, in index order.
         sub = ray_matrix.submatrix(range(ray_matrix.rows), _pivots_over_q(ray_matrix))
     if _coords_det_sign(basis, sub) < 0:
-        flipped = basis.copy()
-        for i in range(basis.rows):
-            flipped.data[i][k - 1] = -flipped.data[i][k - 1]
-        return flipped
+        return IntMatrix._adopt(basis.rows, k, [row[:-1] + [-row[-1]] for row in basis.data])
     return basis
 
 
@@ -313,7 +317,7 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     cones = {}
     if explicit_faces is None:
         for s in maximal_sets:
-            mat = IntMatrix.from_cols([list(rays[i]) for i in s], rows=ambient_rank)
+            mat = _ray_matrix(rays, s, ambient_rank)
             basis = _face_basis(mat)
             if basis.cols != len(s):
                 raise ValueError(
@@ -340,16 +344,15 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
                 raise ValueError(f"maximal cone {s} missing from explicit face list")
         # Every maximal cone of a fan has the fan's dimension as its rank.
         widest = max(maximal_sets, key=len, default=())
-        mat = IntMatrix.from_cols([list(rays[i]) for i in widest], rows=ambient_rank)
+        mat = _ray_matrix(rays, widest, ambient_rank)
         _check_wedge_rank(ambient_rank, rank_over_q(mat))
     face_sets.add(())
 
     for s in face_sets:
         if s in cones:
             continue
-        mat = IntMatrix.from_cols([list(rays[i]) for i in s], rows=ambient_rank)
-        basis = _face_basis(mat)
-        basis = _orient_basis(basis, mat)
+        mat = _ray_matrix(rays, s, ambient_rank)
+        basis = _orient_basis(_face_basis(mat), mat)
         cones[s] = Cone(s, basis, basis.cols)
 
     # Deterministic ids: by (dim, ray tuple).

@@ -14,9 +14,10 @@ import copy
 import weakref
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .exact import hnf_basis
-from .intmat import IntMatrix, hstack_all, solve_int
+from .intmat import IntMatrix, _echelon_pivots, _substitute, hstack_all, solve_int
 
 
 @lru_cache(maxsize=128)
@@ -68,9 +69,15 @@ class ModuleAssignment:
     Cosheaf structure matrices point downward: inclusion(sigma, tau) writes
     the basis of F_p(sigma) in the basis of F_p(tau) for tau below sigma.
     The maps of covering pairs are recorded by `build_multitangent`, which
-    solves for them together with the face's basis; any other pair is
-    solved on its first read. The dual sheaf's restriction(tau, sigma) is
-    its transpose.
+    solves for them together with the face's basis; at a face whose module
+    is the whole wedge power (basis the identity) any map is the upper
+    face's basis, and any other pair is solved on its first read. The dual
+    sheaf's restriction(tau, sigma) is its transpose.
+
+    Bases and maps may be shared objects: every full face holds the same
+    identity matrix, a face contained in a cover holds that cover's basis,
+    and a map into a full face is the upper face's basis. Like every
+    `IntMatrix` they are immutable by convention.
     """
 
     def __init__(self, fan, p, variance, basis):
@@ -81,6 +88,7 @@ class ModuleAssignment:
         self.variance = variance  # "cosheaf" | "sheaf"
         self.basis = basis  # face id -> IntMatrix (columns in wedge coords)
         self._structure = {}
+        self._full = set()  # faces whose module is the whole wedge power
 
     @property
     def fan(self):
@@ -92,8 +100,11 @@ class ModuleAssignment:
     def inclusion(self, sigma, tau) -> IntMatrix:
         """Cosheaf map F_p(sigma) -> F_p(tau) for tau below sigma, in the
         stored bases. Integral because the modules are nested subgroups.
-        A covering pair's map was recorded when the module was built; any
+        Into a full module (basis I) the map is sigma's basis itself. A
+        covering pair's map was recorded when the module was built; any
         other pair is solved here once and kept."""
+        if tau in self._full:
+            return self.basis[sigma]
         key = (sigma, tau)
         if key not in self._structure:
             if tau == sigma:
@@ -124,37 +135,71 @@ def build_multitangent(fan, p: int) -> ModuleAssignment:
     basis (so the top-degree module is generated by the orientation
     generator, and dual coordinates there are wedge coordinates), and every
     other face gets the canonical HNF basis H of its covers' bases together,
-    G = [B_1 | ... | B_k]. One `solve_int` of H X = G, which checks that
-    H X = G exactly, then gives each cover's inclusion as its columns of X.
+    G = [B_1 | ... | B_k], with each cover's inclusion as its columns of the
+    integral X with H X = G. Each face takes the cheapest exact argument
+    that applies:
+
+    - full: when a cover's module is the whole wedge power, so is the
+      face's. H is the identity of size C(n, p), shared by all full faces,
+      and X = G, so each cover's map is that cover's basis. Nothing is
+      stacked. A maximal face whose wedge basis is that identity is full,
+      and at p = 0 every maximal face is.
+    - contained: when G substitutes against the basis of its largest inner
+      cover (one with covers of its own, so its basis is a canonical HNF)
+      with every remainder zero, the sum is that cover's lattice, and
+      canonical HNF is unique, so H is that basis and X the substitution.
+    - full-lattice exit: when the HNF of G is the identity, X = G as above.
+    - otherwise one `solve_int` of H X = G, which checks H X = G exactly.
+
+    Every path checks H X = G: the substitution and the solve check a zero
+    remainder, and H = I makes X = G hold by definition. Bases and maps may
+    therefore be shared objects (see `ModuleAssignment`).
     """
     if p < 0 or p > fan.dim:
         raise ValueError(f"degree {p} out of range for a {fan.dim}-dimensional fan")
-    basis = {}
-    maps = {}
+    full = IntMatrix.identity(comb(fan.ambient_rank, p))
+    mod = ModuleAssignment(fan, p, "cosheaf", {})
+    basis, maps, full_faces = mod.basis, mod._structure, mod._full
     # Face ids grow with dimension (see `build_fan`), so covers come first.
     for fid in reversed(range(fan.face_count())):
         covers = fan.covers_of(fid)
         if not covers:
-            basis[fid] = wedge_basis(fan.faces[fid].lattice_basis, p)
+            b = wedge_basis(fan.faces[fid].lattice_basis, p)
+            if b == full:
+                b = full
+                full_faces.add(fid)
+            basis[fid] = b
+            continue
+        if any(c in full_faces for c in covers):
+            basis[fid] = full
+            full_faces.add(fid)
+            for c in covers:
+                maps[(c, fid)] = basis[c]
             continue
         # A largest cover with covers of its own goes first: its basis is a
-        # canonical HNF already, so its columns enter the HNF unreduced.
+        # canonical HNF already, so its columns enter the HNF unreduced, and
+        # when it holds the other covers it is the face's basis.
         inner = [c for c in covers if fan.covers_of(c)]
         if inner:
             first = max(inner, key=lambda c: basis[c].cols)
             covers = [first] + [c for c in covers if c != first]
         stacked = hstack_all([basis[c] for c in covers])
-        h = basis[fid] = hnf_basis(stacked)
-        # One exact solve H X = G gives every cover's map into this face:
-        # the columns of X that belong to that cover.
-        x = solve_int(h, stacked).data
+        h = basis[covers[0]]
+        x = _substitute(h, _echelon_pivots(h), list(stacked.data)) if inner else None
+        if x is None:
+            h = hnf_basis(stacked)
+            if h == full:
+                h = full
+                x = stacked.data
+                full_faces.add(fid)
+            else:
+                x = solve_int(h, stacked).data
+        basis[fid] = h
         start = 0
         for c in covers:
             end = start + basis[c].cols
             maps[(c, fid)] = IntMatrix._adopt(h.cols, end - start, [row[start:end] for row in x])
             start = end
-    mod = ModuleAssignment(fan, p, "cosheaf", basis)
-    mod._structure.update(maps)
     return mod
 
 

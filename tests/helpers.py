@@ -500,6 +500,18 @@ def convention_fans():
     return fans
 
 
+def construction_fans():
+    """`convention_fans()` and three cones that are not unimodular: an
+    unsaturated cone, a primitive ray whose HNF pivot is 2 and a cone of
+    index 6. Below each cone every face has a single cover, and a maximal
+    face's wedge basis need not be an HNF."""
+    return convention_fans() + [
+        ("unsaturated cone", build_fan(2, [(1, 0), (1, 2)], [[0, 1]])),
+        ("primitive ray (2,1)", build_fan(2, [(2, 1)], [[0]])),
+        ("index-6 cone", build_fan(3, [(1, 0, 0), (1, 2, 0), (1, 1, 3)], [[0, 1, 2]])),
+    ]
+
+
 def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, ring: RingTag):
     """ker(boundary_out)/im(boundary_in) over the ring, as `homology_of_pair`
     computed it before unit-pivot reduction decided the group: a kernel

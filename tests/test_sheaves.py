@@ -2,10 +2,13 @@
 
 import gc
 import weakref
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import tropfan.sheaves as sheaves
 from tropfan.complexes import _star, star_row_complex
 from tropfan.duality import is_local_tpd, local_tpd_characterization
 from tropfan.exact import hnf_basis, kernel_lattice
@@ -16,7 +19,7 @@ from tropfan.sheaves import build_multicotangent, build_multitangent, wedge_basi
 from helpers import (
     F3,
     Z,
-    convention_fans,
+    construction_fans,
     cross_fan,
     curve_fan,
     oracle_multitangent_bases,
@@ -202,10 +205,15 @@ def test_dual_outlives_the_fan():
     assert sheaf.rank(0) == cosheaf.rank(0) == 2
 
 
+CONSTRUCTION_FANS = construction_fans()
+
+
 def test_cover_recursion_matches_the_all_maximal_cofaces_sum():
     # HNF is canonical, so building each face from its covers gives the same
-    # bytes as the HNF of all maximal cofaces' wedge powers.
-    for name, fan in convention_fans():
+    # bytes as the HNF of all maximal cofaces' wedge powers. The cones that
+    # are not unimodular have single-cover faces and maximal faces whose
+    # wedge basis is not an HNF.
+    for name, fan in CONSTRUCTION_FANS:
         for p in range(fan.dim + 1):
             assert build_multitangent(fan, p).basis == oracle_multitangent_bases(fan, p), (name, p)
 
@@ -213,12 +221,91 @@ def test_cover_recursion_matches_the_all_maximal_cofaces_sum():
 def test_module_build_records_exactly_the_cover_maps():
     # One solve per face gives its covers' maps; each equals the map solved
     # on its own, and no pair other than a covering pair is recorded.
-    for name, fan in convention_fans():
+    for name, fan in CONSTRUCTION_FANS:
         for p in range(fan.dim + 1):
             mod = build_multitangent(fan, p)
             assert set(mod._structure) == {(s, t) for t, s in fan.covering}, (name, p)
             for (s, t), m in mod._structure.items():
                 assert m == oracle_solve_int(mod.basis[t], mod.basis[s]), (name, p, s, t)
+
+
+def test_every_inclusion_matches_the_oracle_solve(monkeypatch):
+    # Every comparable pair, not only the covering ones. Into a full module
+    # (basis the identity) the map is the upper face's basis, with no solve.
+    solved = []
+    real = sheaves.solve_int
+    monkeypatch.setattr(sheaves, "solve_int", lambda a, b: solved.append(1) or real(a, b))
+    for name, fan in CONSTRUCTION_FANS:
+        for p in range(fan.dim + 1):
+            mod = build_multitangent(fan, p)
+            full = IntMatrix.identity(comb(fan.ambient_rank, p))
+            assert mod._full == {f for f, b in mod.basis.items() if b == full}, (name, p)
+            solved.clear()
+            expected = 0
+            for tau in range(fan.face_count()):
+                for sigma in fan.upper_set(tau):
+                    m = mod.inclusion(sigma, tau)
+                    assert m == oracle_solve_int(mod.basis[tau], mod.basis[sigma]), (name, p, sigma, tau)
+                    if sigma != tau and (tau, sigma) not in fan.covering and tau not in mod._full:
+                        expected += 1
+            assert len(solved) == expected, (name, p)
+
+
+def _module_paths(fan, p):
+    """Face id -> the way `build_multitangent` must decide each face below
+    the top, classified from the oracle's bases: "inherited" (a cover's
+    module is the whole wedge power), "exit" (the face's own module is, but
+    no cover's), "contained" (its module is that of its largest inner
+    cover) or "hnf"."""
+    bases = oracle_multitangent_bases(fan, p)
+    full = IntMatrix.identity(comb(fan.ambient_rank, p))
+    paths = {}
+    for fid in range(fan.face_count()):
+        covers = fan.covers_of(fid)
+        if not covers:
+            continue
+        inner = [c for c in covers if fan.covers_of(c)]
+        first = max(inner, key=lambda c: bases[c].cols) if inner else None
+        if any(bases[c] == full for c in covers):
+            paths[fid] = "inherited"
+        elif bases[fid] == full:
+            paths[fid] = "exit"
+        elif first is not None and bases[first] == bases[fid]:
+            paths[fid] = "contained"
+        else:
+            paths[fid] = "hnf"
+    return paths
+
+
+def test_module_build_takes_each_path_and_eliminates_only_on_the_last(monkeypatch):
+    # On U(4,5) every path occurs. `hnf_basis` runs only at "exit" and
+    # "hnf" faces, and `solve_int` only at "hnf" faces, against the face's
+    # own basis; every full face shares one identity matrix.
+    hnfs, solves = [], []
+    real_hnf, real_solve = sheaves.hnf_basis, sheaves.solve_int
+    monkeypatch.setattr(sheaves, "hnf_basis", lambda m: hnfs.append(real_hnf(m)) or hnfs[-1])
+    monkeypatch.setattr(sheaves, "solve_int", lambda a, b: solves.append(a) or real_solve(a, b))
+    fan = bergman_fan(Matroid.uniform(4, 5)).fan
+    counts = Counter()
+    for p in range(fan.dim + 1):
+        paths = _module_paths(fan, p)
+        counts.update(paths.values())
+        hnfs.clear()
+        solves.clear()
+        mod = build_multitangent(fan, p)
+        assert mod.basis == oracle_multitangent_bases(fan, p), p
+        full = IntMatrix.identity(comb(fan.ambient_rank, p))
+        # Faces are built from the top down.
+        order = [f for f in reversed(range(fan.face_count())) if f in paths]
+        eliminated = [f for f in order if paths[f] in ("exit", "hnf")]
+        assert ["exit" if h == full else "hnf" for h in hnfs] == [paths[f] for f in eliminated], p
+        assert [id(a) for a in solves] == [id(mod.basis[f]) for f in order if paths[f] == "hnf"], p
+        assert len({id(mod.basis[f]) for f in mod._full}) <= 1, p
+        for f in order:
+            if paths[f] == "contained":
+                first = max((c for c in fan.covers_of(f) if fan.covers_of(c)), key=mod.rank)
+                assert mod.basis[f] is mod.basis[first], (p, f)
+    assert counts == {"inherited": 123, "exit": 26, "contained": 50, "hnf": 225}
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -240,8 +327,6 @@ def test_module_build_on_larger_bergman_fans_matches_the_oracles(n):
 
 
 def test_wedge_basis_runs_only_at_faces_without_cover(monkeypatch):
-    import tropfan.sheaves as sheaves
-
     seen = []
     real = sheaves.wedge_basis
     monkeypatch.setattr(sheaves, "wedge_basis", lambda basis, p: seen.append(basis) or real(basis, p))
