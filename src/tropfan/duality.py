@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .complexes import _layout, _star, _star_kernel, star_bm_complex, star_homology_table
 from .exact import RingTag, _coords_in_kernel, _rank_and_torsion, _unit_pivot_reduce
@@ -196,9 +196,10 @@ class CapResult:
     """The cap against the fundamental chain at a face: its ambient columns
     C in the stored top-block bases, and their coordinates X in the kernel
     basis K of the star's top homology, C = K X. The kernel basis and the
-    coordinates are computed on first read; the verdict mostly needs
-    neither (see `is_isomorphism`). Both hold ints: the cap is taken against
-    `fundamental_chain`, so over Q they scale by its D, and det X by D^n."""
+    coordinates are computed on first read: the verdict mostly needs neither
+    (see `is_isomorphism`), and a report only for a witness that is read.
+    Both hold ints: the cap is taken against `fundamental_chain`, so over Q
+    they scale by its D, and det X by D^n."""
 
     base: int
     p: int
@@ -252,18 +253,34 @@ def _cap_block_matrix(fan: Fan, alpha: int, gamma: int, p: int) -> IntMatrix:
     """Integer matrix of u |-> restriction(u to alpha) -| Lambda_alpha, from
     dual coordinates at gamma into the stored degree-(d-p) basis at alpha.
     The stored bases at a top face are its wedge bases, so the contraction
-    is one matrix per p, shared by every alpha."""
-    return _contraction(fan, p) * fan.multitangent(p).inclusion(alpha, gamma).transpose()
+    is one signed permutation per p, shared by every alpha: row i is row
+    pi(i) of the transposed inclusion times s_i."""
+    inc = fan.multitangent(p).inclusion(alpha, gamma).data
+    rows = [[s * row[k] for row in inc] for k, s in _contraction(fan, p)]
+    return IntMatrix._adopt(len(rows), len(inc), rows)
 
 
-def _contraction(fan: Fan, p: int) -> IntMatrix:
-    """`_contraction_against_top` in the fan's dimension, kept per fan."""
-    return fan.memo(("contr", p), lambda: _contraction_against_top(fan.dim, p))
+def _contraction(fan: Fan, p: int) -> list:
+    """`_contraction_against_top` in the fan's dimension, kept per fan as the
+    (pi(i), s_i) of its signed permutation: f_K -| e_{0..d-1} = +-e_{complement
+    of K}, so row i has the one nonzero s_i, in column pi(i)."""
+    return fan.memo(
+        ("contr", p),
+        lambda: [next((k, x) for k, x in enumerate(r) if x) for r in _contraction_against_top(fan.dim, p).data],
+    )
+
+
+def _contraction_det(fan: Fan, p: int) -> int:
+    """det of `_contraction_against_top`: the sign of pi times the s_i."""
+    pairs = _contraction(fan, p)
+    return (-1) ** sum(a > b for (a, _), (b, _) in combinations(pairs, 2)) * prod(s for _, s in pairs)
 
 
 def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
     """The cap product at a face: dual vectors at the face map to weighted
-    contractions over its top cofaces, landing in the star's top homology."""
+    contractions over its top cofaces, landing in the star's top homology.
+    Row i of a top coface alpha's block in column j is read off the signed
+    permutation (`_contraction`) as w_alpha s_i inclusion(alpha, gamma)[j][pi(i)]."""
     _require_balanced(wf)
     fan = wf.fan
     d = fan.dim
@@ -273,17 +290,13 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
     ring = wf.ring
     table, blocks, top = _star(fan, gamma, d - p, ring)
     src_rank = fp.rank(gamma)
-    per_alpha = {b.face: _cap_block_matrix(fan, b.face, gamma, p) for b in blocks}
+    pairs = _contraction(fan, p)
     chain = fundamental_chain(wf).coords
-    columns = []
-    for j in range(src_rank):
-        col = []
-        for b in blocks:
-            mat = per_alpha[b.face]
-            w = chain[b.face]
-            for i in range(mat.rows):
-                col.append(_rnorm(w * mat.data[i][j], ring))
-        columns.append(col)
+    columns = [[] for _ in range(src_rank)]
+    for b in blocks:
+        w = chain[b.face]
+        for col, row in zip(columns, fp.inclusion(b.face, gamma).data):
+            col.extend(_rnorm(w * s * row[k], ring) for k, s in pairs)
     if any(any(_int_mat_times_ring_vec(top, col, ring)) for col in columns):
         raise ValueError("image does not lie in the kernel")
     return CapResult(gamma, p, ring, src_rank, blocks, columns, table.group(d).free_rank, fan)
@@ -336,13 +349,30 @@ def cap_chain_general(wf: WeightedFan, p: int, q: int):
 # Duality certificates
 
 
-@dataclass
+@dataclass(eq=False)
 class TpdEntry:
+    """One check of a report. `witness` is a str; a failing cap's may be
+    given as a zero-argument callable instead, run on the first read of
+    `witness`, whose str is then kept in its place. Verdicts never read it."""
+
     p: int
     q: int
     kind: str  # "cap" | "vanishing"
     ok: bool
-    witness: str = ""
+    _witness: object = ""
+
+    @property
+    def witness(self) -> str:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
+
+    def __eq__(self, other):
+        key = lambda e: (e.p, e.q, e.kind, e.ok, e.witness)
+        return key(self) == key(other) if isinstance(other, TpdEntry) else NotImplemented
+
+    def __repr__(self):
+        return f"TpdEntry(p={self.p}, q={self.q}, kind={self.kind!r}, ok={self.ok}, witness={self.witness!r})"
 
 
 @dataclass
@@ -393,22 +423,20 @@ def _star_tpd_report(wf: WeightedFan, gamma: int) -> TpdReport:
     report is read off in closed form. Its complex is the top degree alone,
     with a zero differential, so there is nothing to vanish and the kernel
     basis is the identity. The cap in degree p is then w times the
-    contraction matrix of `_cap_block_matrix`, a signed permutation: it is
-    bijective exactly when w is a unit, and its determinant is w^comb(d, p)
-    times that of the contraction. No star complex, cap or kernel is built."""
+    contraction, a signed permutation (`_contraction`): it is bijective
+    exactly when w is a unit, and its determinant is w^comb(d, p) times
+    that of the contraction. No star complex, cap or kernel is built.
+    Other faces take `cap_star`, and no failing cap's witness is built unread."""
     fan = wf.fan
     d = fan.dim
     lo = fan.faces[gamma].dim
     entries = []
     if lo == d:
-        w = fundamental_chain(wf).coords[gamma]
-        ok = wf.ring.is_unit(w)
+        w, ring = fundamental_chain(wf).coords[gamma], wf.ring  # the witnesses must not hold wf
+        ok = ring.is_unit(w)
         for p in range(d + 1):
-            witness = ""
-            if not ok:
-                det = w ** comb(d, p) * det_int(_contraction(fan, p))
-                witness = f"determinant {wf.ring.coerce(det)}"
-            entries.append(TpdEntry(p, 0, "cap", ok, witness))
+            det = lambda p=p: f"determinant {ring.coerce(w ** comb(d, p) * _contraction_det(fan, p))}"
+            entries.append(TpdEntry(p, 0, "cap", ok, "" if ok else det))
         return TpdReport(wf.ring, ok, entries, base=gamma)
     for dp in range(d + 1):
         table = star_homology_table(fan, gamma, dp, wf.ring)
@@ -426,7 +454,7 @@ def _star_tpd_report(wf: WeightedFan, gamma: int) -> TpdReport:
     for p in range(d + 1):
         cap = cap_star(wf, gamma, p)
         ok = cap.is_isomorphism()
-        entries.append(TpdEntry(p, 0, "cap", ok, "" if ok else cap.failure_witness()))
+        entries.append(TpdEntry(p, 0, "cap", ok, "" if ok else cap.failure_witness))
     verdict = all(e.ok for e in entries)
     return TpdReport(wf.ring, verdict, entries, base=gamma)
 

@@ -9,8 +9,10 @@ Fp:2 and Fp:3 (420 invocations). Derived documents follow:
   with its weights times 1/3, and `cross` with the weights 1/2, 2/3, 1/2,
   2/3, which is balanced with two denominators (225 invocations);
 - over all four rings, an unbalanced copy of each document, its first weight
-  raised by 1, so the face that `balance` names is pinned too (420).
-That is 1,065 invocations, in-process.
+  raised by 1, so the face that `balance` names is pinned too (420);
+- over Z and Fp:3, a copy of each document with its weights times 2, so
+  failing caps print `determinant` witnesses at every fan (210).
+That is 1,275 invocations, in-process.
 
     python tests/cli_bytes.py            # print the digests
     python tests/cli_bytes.py --check    # compare with tests/cli_bytes.txt; exit 1 on a mismatch
@@ -87,6 +89,9 @@ def write_documents(directory: Path):
         weights = bases[name]["weights"]
         raised = [weights[0] + 1] + weights[1:]
         documents.append((_write_variant(directory, f"{name}_unbalanced", bases[name], raised, bases[name]["ring"]), RINGS))
+    for name in names:
+        doubled = [2 * Fraction(w) for w in bases[name]["weights"]]
+        documents.append((_write_variant(directory, f"{name}_x2", bases[name], doubled, "Z"), ["Z", "Fp:3"]))
     return documents
 
 

@@ -470,10 +470,11 @@ def oracle_cap_change(fan, alpha: int, p: int) -> IntMatrix:
 
 
 def oracle_cap_block(fan, alpha: int, gamma: int, p: int) -> IntMatrix:
-    """The cap block as it was built before its dual-coordinate change was
-    shared across the faces gamma below alpha: every factor per call."""
+    """The cap block as a product of whole matrices: the dual-coordinate
+    change of `oracle_cap_change` (its four solves kept per alpha and p
+    under the oracle's own memo key) times the transposed inclusion."""
     rho = fan.multitangent(p).inclusion(alpha, gamma).transpose()
-    return oracle_cap_change(fan, alpha, p) * rho
+    return fan.memo(("oracle_cap_change", alpha, p), lambda: oracle_cap_change(fan, alpha, p)) * rho
 
 
 def square_cone_fan():
@@ -848,8 +849,9 @@ class OracleCapResult:
 def oracle_cap_star(wf: WeightedFan, gamma: int, p: int) -> OracleCapResult:
     """The cap product at a face: dual vectors at the face map to weighted
     contractions over its top cofaces, solved into the star's kernel basis.
-    It reads the weights themselves, not the integer fundamental chain."""
-    from tropfan.duality import _cap_block_matrix, _require_balanced, _rnorm
+    It reads the weights themselves, not the integer fundamental chain, and
+    builds each block by products of whole matrices (`oracle_cap_block`)."""
+    from tropfan.duality import _require_balanced, _rnorm
 
     _require_balanced(wf)
     fan = wf.fan
@@ -860,7 +862,7 @@ def oracle_cap_star(wf: WeightedFan, gamma: int, p: int) -> OracleCapResult:
     ring = wf.ring
     blocks, kern = oracle_star_top(fan, gamma, d - p, ring)
     src_rank = fp.rank(gamma)
-    per_alpha = {b.face: _cap_block_matrix(fan, b.face, gamma, p) for b in blocks}
+    per_alpha = {b.face: oracle_cap_block(fan, b.face, gamma, p) for b in blocks}
     columns = []
     for j in range(src_rank):
         col = []

@@ -615,6 +615,20 @@ class TestTopFaceConvention:
                 for alpha in fan.top_faces():
                     assert oracle_cap_change(fan, alpha, p) == contr, (name, alpha, p)
 
+    def test_contraction_pairs_rebuild_the_signed_permutation(self):
+        # The cap layer keeps the contraction as (pi(i), s_i) per row i; the
+        # pairs must give back the matrix and its determinant.
+        for d in range(1, 6):
+            fan = build_fan(d, [tuple(int(i == j) for j in range(d)) for i in range(d)], [list(range(d))])
+            for p in range(d + 1):
+                contr = duality._contraction_against_top(d, p)
+                pairs = duality._contraction(fan, p)
+                assert duality._contraction(fan, p) is pairs  # kept per fan
+                rebuilt = [[s if j == k else 0 for j in range(contr.cols)] for k, s in pairs]
+                assert IntMatrix.from_rows(rebuilt) == contr, (d, p)
+                assert sorted(k for k, _ in pairs) == list(range(contr.cols))
+                assert duality._contraction_det(fan, p) == det_int(contr), (d, p)
+
     def test_fundamental_chain_is_the_weights(self):
         wf = fixtures.load("surface_r3")
         assert fundamental_chain(wf).coords == wf.weights

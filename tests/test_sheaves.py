@@ -10,7 +10,7 @@ import pytest
 
 import tropfan.sheaves as sheaves
 from tropfan.complexes import _star, star_row_complex
-from tropfan.duality import is_local_tpd, local_tpd_characterization
+from tropfan.duality import _star_report, is_local_tpd, local_tpd_characterization
 from tropfan.exact import hnf_basis, kernel_lattice
 from tropfan.intmat import IntMatrix, det_int, hstack_all
 from tropfan.matroids import Matroid, bergman_fan
@@ -176,9 +176,22 @@ def test_fan_and_modules_freed_without_cycle_collector():
         refs = [weakref.ref(wf), weakref.ref(wf.fan)]
         del wf
         assert [r() for r in refs] == [None, None]
+        # Failing caps leave their witnesses unread in the memo, as callables
+        # that hold a cap or the fan but never the weighted fan.
+        fan = bergman_fan(Matroid.uniform(3, 4)).fan
+        wf = weighted(fan, [2] * len(fan.top_faces()))
+        del fan
+        local_tpd_characterization(wf)
+        unread = [e for g in (wf.fan.vertex_id, wf.fan.top_faces()[0]) for e in _star_report(wf, g).failures()]
+        assert unread and all(callable(e._witness) for e in unread)
+        del unread
+        refs = [weakref.ref(wf), weakref.ref(wf.fan)]
+        del wf
+        assert [r() for r in refs] == [None, None]
         # Star tables own their kernel bases and must not refer back to the
         # fan: build them through the star row over Z and F_3, and through
-        # the witness of a failing cap over Z. A top face's report is read
+        # the witnesses of the failing caps over Z, one per degree, each
+        # read so that its star kernel is built. A top face's report is read
         # off in closed form, so the failing caps are taken at a ray of a
         # surface, whose star is not a top face's.
         wf = bergman_fan(Matroid.uniform(3, 4))
@@ -187,7 +200,9 @@ def test_fan_and_modules_freed_without_cycle_collector():
                 star_row_complex(wf, p, ring)
         doubled = weighted(bergman_fan(Matroid.uniform(3, 4)).fan, [2] * len(wf.fan.top_faces()))
         ray = doubled.fan.faces_of_dim(1)[0]
-        assert is_local_tpd(doubled).per_face[ray].failures()[0].witness == "determinant 2"
+        witnesses = [e.witness for e in is_local_tpd(doubled).per_face[ray].failures()]
+        assert witnesses[0] == "determinant 2"
+        assert witnesses == ["determinant 2", "determinant -8", "determinant 4"]
         tops = [_star(wf.fan, wf.fan.vertex_id, 1, F3)[0].entries[2]]
         tops += [_star(doubled.fan, ray, q, Z)[0].entries[2] for q in (0, 1, 2)]
         assert all("kernel" in vars(top) for top in tops)

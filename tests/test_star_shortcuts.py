@@ -2,11 +2,13 @@
 
 The lowest degree of every star is acyclic, so `_star` eliminates only the
 degrees strictly between it and the top; a top face's report is read off
-in closed form, with no star complex or cap. Reports must equal the oracle
-in helpers.py, which eliminates every degree below the top and builds a cap
-at every face.
+in closed form, with no star complex or cap. A failing cap's witness is
+built only when it is read. Reports must equal the oracle in helpers.py,
+which eliminates every degree below the top, builds a cap at every face and
+every witness at once.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,12 +16,19 @@ import pytest
 import tropfan.complexes as complexes
 import tropfan.duality as duality
 from tropfan import fixtures
-from tropfan.duality import _star_report, is_balanced, is_local_tpd
+from tropfan.duality import (
+    CapResult,
+    _star_report,
+    is_balanced,
+    is_local_tpd,
+    local_tpd_characterization,
+    tpd_from_stars_check,
+)
 from tropfan.exact import RingTag
 from tropfan.fans import WeightedFan
 from tropfan.matroids import Matroid, bergman_fan
 
-from helpers import F2, F3, Q, Z, convention_fans, oracle_star_tpd_report
+from helpers import F2, F3, Q, Z, convention_fans, oracle_star_tpd_report, random_surface
 
 F5 = RingTag.Fp(5)
 SCALES = (1, -1, 2, -3, 6)
@@ -90,6 +99,65 @@ def test_top_face_reports_build_no_star_complex_or_cap(monkeypatch):
     for alpha in tops:
         witnesses = [e.witness for e in doubled.per_face[alpha].failures()]
         assert witnesses == ["determinant 2", "determinant 4", "determinant -2"]
+
+
+def _theorem_corpus():
+    """Weighted surfaces over Z whose caps fail, with determinant and rank
+    mismatch witnesses: U(3,4) with weights 2, surface_r3, and random
+    surfaces at scales 2, -2 and 3."""
+    u34 = bergman_fan(Matroid.uniform(3, 4))
+    out = [("U34_x2", _rescaled(u34, Z, 2)), ("surface_r3", fixtures.load("surface_r3"))]
+    rng = random.Random(47)
+    for i in range(4):
+        wf = random_surface(rng)
+        out += [(f"random{i}_x{scale}", _rescaled(wf, Z, scale)) for scale in (2, -2, 3)]
+    return out
+
+
+def test_theorem_checks_build_no_witness(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("a cap witness was built on a verdict path")
+
+    corpus = _theorem_corpus()
+    with monkeypatch.context() as patched:
+        patched.setattr(CapResult, "kernel_columns", property(forbidden))
+        patched.setattr(CapResult, "determinant", property(forbidden))
+        for _, wf in corpus:
+            tpd_from_stars_check(wf)
+            local_tpd_characterization(wf)
+    unread = set()
+    for name, wf in corpus:
+        for gamma in range(wf.fan.face_count()):
+            report = _star_report(wf, gamma)
+            unread |= {e._witness.__name__ for e in report.entries if callable(e._witness)}
+            assert report.to_dict() == oracle_star_tpd_report(wf, gamma).to_dict(), (name, gamma)
+            assert not any(callable(e._witness) for e in report.entries)
+    assert unread == {"failure_witness", "<lambda>"}  # caps of cap_star and of top faces
+
+
+def test_a_witness_read_twice_is_computed_once(monkeypatch):
+    made = []
+    failure_witness, contraction_det = CapResult.failure_witness, duality._contraction_det
+
+    def counted_failure_witness(self):
+        made.append(("cap", self.base, self.p))
+        return failure_witness(self)
+
+    def counted_contraction_det(fan, p):
+        made.append(("top", p))
+        return contraction_det(fan, p)
+
+    monkeypatch.setattr(CapResult, "failure_witness", counted_failure_witness)
+    monkeypatch.setattr(duality, "_contraction_det", counted_contraction_det)
+    wf = _rescaled(bergman_fan(Matroid.uniform(3, 4)), Z, 2)
+    report = is_local_tpd(wf)
+    assert made == []
+    failing = [e for rep in report.per_face.values() for e in rep.failures()]
+    first = [e.witness for e in failing]
+    assert len(made) == len(failing) and {m[0] for m in made} == {"cap", "top"}
+    assert [e.witness for e in failing] == first
+    assert report.to_dict() == is_local_tpd(wf).to_dict()
+    assert len(made) == len(failing)
 
 
 def _count_eliminations(monkeypatch):
