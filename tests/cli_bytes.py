@@ -11,8 +11,11 @@ Fp:2 and Fp:3 (420 invocations). Derived documents follow:
 - over all four rings, an unbalanced copy of each document, its first weight
   raised by 1, so the face that `balance` names is pinned too (420);
 - over Z and Fp:3, a copy of each document with its weights times 2, so
-  failing caps print `determinant` witnesses at every fan (210).
-That is 1,275 invocations, in-process.
+  failing caps print `determinant` witnesses at every fan (210);
+- over Fp:5 and Fp:7, the seven base documents again: there some nonzero
+  x is not its own inverse, as it always is mod 2 and mod 3, so a pivot
+  used where its inverse belongs changes the output (210).
+That is 1,485 invocations, in-process.
 
     python tests/cli_bytes.py            # print the digests
     python tests/cli_bytes.py --check    # compare with tests/cli_bytes.txt; exit 1 on a mismatch
@@ -92,6 +95,7 @@ def write_documents(directory: Path):
     for name in names:
         doubled = [2 * Fraction(w) for w in bases[name]["weights"]]
         documents.append((_write_variant(directory, f"{name}_x2", bases[name], doubled, "Z"), ["Z", "Fp:3"]))
+    documents += [(f"{name}.json", ["Fp:5", "Fp:7"]) for name in names]
     return documents
 
 
