@@ -241,7 +241,8 @@ class CapResult:
             return _rank_and_torsion(rows, self.ring.p)[0] == self.domain_rank
         if gcd(*(x for row in rows for x in row.values())) != 1:
             return False
-        return _unit_pivot_reduce(rows)[0] == self.domain_rank or self.ring.is_unit(self.determinant)
+        pivots = sum(1 for _ in _unit_pivot_reduce(rows))
+        return pivots == self.domain_rank or self.ring.is_unit(self.determinant)
 
     def failure_witness(self):
         if self.domain_rank != self.top_rank:

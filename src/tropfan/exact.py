@@ -6,8 +6,8 @@ presentations of subquotients.
 Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
 
-The eliminations (`intmat._row_hnf`, `_rref`) reduce int rows in place by
-whole-row operations, so trailing columns ride along: `kernel_lattice` and
+The HNF (`intmat._row_hnf`) reduces int rows in place by whole-row
+operations, so trailing columns ride along: `kernel_lattice` and
 `hermite_normal_form` append an identity block to record the transform,
 and `hnf_basis`, which needs none, appends nothing. `_row_hnf` computes the
 HNF by insertion, each row reduced against the pivot rows found so far, and
@@ -18,23 +18,26 @@ Ranks and solves over Z use the same HNF. Q runs on that integer engine
 too: the complexes here are complexes of free Z-modules, so
 H(C (x) Q) = H(C) (x) Q, and a map between saturated integer bases is
 bijective over Q exactly when its integer determinant is nonzero.
-Only F_p has its own elimination, `_rref`, which is row-sparse: each pivot
-row updates the other rows in its nonzero columns only, with the reduction
-mod p inline. It gives the kernel mod p and, in the image, the choice of
-representatives. `_kernel_basis` and `_coords_in_kernel` decide, for every
-ring, which kernel basis is used and how coordinates in it are found.
+F_p has no dense elimination of its own. Unit-pivot reduction on sparse
+rows (`_unit_pivot_reduce`, after Kaczynski, Mrozek and Slusarek, 1998)
+reduces mod p inline, and over F_p every nonzero entry is a unit, so it
+eliminates the whole matrix; pivoting each row on its first nonzero column
+makes its pivot columns those of the reduced echelon form. The one loop
+gives the ranks mod p, the reduced-echelon kernel basis (`kernel_field`)
+and, in the image, the choice of representatives. `_kernel_basis` and
+`_coords_in_kernel` decide, for every ring, which kernel basis is used and
+how coordinates in it are found.
 
 A homology group ker(d_out)/im(d_in) on Z^n is decided by ranks and
 invariant factors alone. ker(d_out) is saturated in Z^n, so the torsion of
 the group is the torsion of Z^n/im(d_in): over Z the group is
 Z^(n - rank d_out - rank d_in) plus the invariant factors of d_in above 1,
 over Q the free part of that, and over F_p its dimension is
-n - rank_p d_out - rank_p d_in. The ranks and factors come from eliminating
-unit pivots on sparse rows (`_unit_pivot_reduce`, after Kaczynski, Mrozek
-and Slusarek, 1998), with the dense SNF or rank on what is left.
+n - rank_p d_out - rank_p d_in. The ranks and factors come from unit-pivot
+reduction, with the dense SNF or rank on what is left over Z and Q.
 Representatives come from a kernel basis and the SNF of the image in it
-(its reduced echelon form mod p over F_p), and only a nontrivial group
-needs them.
+(the pivot columns of the image mod p over F_p), and only a nontrivial
+group needs them.
 """
 
 from __future__ import annotations
@@ -47,10 +50,8 @@ from fractions import Fraction
 from .intmat import (
     IntMatrix,
     SparseIntMatrix,
-    _echelon_pivots,
     _pivots_over_q,
     _row_hnf,
-    _substitute,
     solve_int,
 )
 
@@ -312,7 +313,7 @@ def invariant_factors(m: IntMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Kernels, saturation, lattice membership
+# Kernels and saturation
 
 
 def kernel_lattice(m: IntMatrix) -> IntMatrix:
@@ -336,81 +337,36 @@ def saturate(b: IntMatrix) -> IntMatrix:
     return kernel_lattice(perp.transpose())
 
 
-def lattice_contains(basis: IntMatrix, vector) -> bool:
-    """Membership of an integer vector in the column lattice of `basis`."""
-    pivots = _echelon_pivots(basis)
-    if pivots is None:
-        basis = hnf_basis(basis)
-        pivots = _echelon_pivots(basis)
-    return _substitute(basis, pivots, [[x] for x in vector]) is not None
-
-
 def rank_over_q(m: IntMatrix) -> int:
     return len(_pivots_over_q(m))
 
 
 # ---------------------------------------------------------------------------
-# Elimination over F_p
-
-
-def field_matrix(m: IntMatrix, ring: RingTag):
-    """The rows of m as residues mod p."""
-    p = ring.p
-    return [[x % p for x in row] for row in m.data]
-
-
-def _rref(a, cols, p):
-    """In-place reduced row echelon form over F_p of the first `cols` columns
-    of the rows `a` (entries in [0, p)). Row operations act on whole rows but
-    only touch the nonzero columns of the pivot row. Returns the pivot column
-    list."""
-    pivots = []
-    n = len(a)
-    r = 0
-    for c in range(cols):
-        i0 = next((i for i in range(r, n) if a[i][c]), None)
-        if i0 is None:
-            continue
-        prow = a[i0]
-        a[i0] = a[r]
-        x = prow[c]
-        if x != 1:
-            inv = pow(x, -1, p)
-            prow = [y * inv % p for y in prow]
-        a[r] = prow
-        support = [j for j, y in enumerate(prow) if y]
-        for i in range(n):
-            row = a[i]
-            f = row[c]
-            if not f or i == r:
-                continue
-            for j in support:
-                row[j] = (row[j] - f * prow[j]) % p
-        pivots.append(c)
-        r += 1
-    return pivots
+# Kernel bases and coordinates over a ring
 
 
 def kernel_field(m: IntMatrix, ring: RingTag):
-    """Kernel basis over F_p, as a list of coordinate columns."""
+    """Kernel basis over F_p, as a list of coordinate columns: the reduced
+    echelon one, which has a column for each free column c of m, 1 at c and
+    0 at the other free columns.
+
+    The pivots come from unit-pivot reduction of the rows of m mod p, whose
+    pivot columns are those of the reduced echelon form of m mod p. Each
+    pivot row solves for its pivot entry in terms of later columns, so a
+    column's vector is found by back substitution, last pivot first."""
     p = ring.p
-    a = field_matrix(m, ring)
-    pivots = _rref(a, m.cols, p)
-    pivot_set = set(pivots)
+    pivots = list(_unit_pivot_reduce(_sparse_rows(m, p), p))
+    bound = {j for j, _, _ in pivots}
     basis = []
     for c in range(m.cols):
-        if c in pivot_set:
+        if c in bound:
             continue
         vec = [0] * m.cols
         vec[c] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][c] % p
+        for j, row, inv in reversed(pivots):
+            vec[j] = -inv * sum(x * vec[k] for k, x in row.items()) % p
         basis.append(vec)
     return basis
-
-
-# ---------------------------------------------------------------------------
-# Kernel bases and coordinates over a ring
 
 
 def _kernel_basis(m: IntMatrix, ring: RingTag) -> IntMatrix:
@@ -513,15 +469,21 @@ def _composes(out_rows, in_rows, p=None) -> bool:
 
 
 def _unit_pivot_reduce(rows, p=None):
-    """Eliminate unit pivots from the sparse rows `rows`, in place.
+    """Eliminate unit pivots from the sparse rows `rows`, in place, yielding
+    each pivot as it is taken.
 
     Over Z (p None) a pivot is an entry +-1; over F_p it is any nonzero
     entry. A pivot at (i, j) removes row i and column j and subtracts a
     rank-one update from the rest, so each pivot adds one to the rank and,
-    over Z, one invariant factor 1. Pivots are taken in rough Markowitz
-    order: from a shortest row that has one, in its sparsest column.
-    Returns the pivot count and the residual, the nonzero rows and columns
-    that are left, as an IntMatrix. Over F_p the residual is always empty.
+    over Z, one invariant factor 1. Pivots are taken from a shortest row
+    that has one: over Z in its sparsest unit column, in rough Markowitz
+    order; over F_p in its first nonzero column j. The rows stay vectors
+    of the row space, zero at the columns already eliminated, so over F_p
+    each pivot column is the leading column of such a vector: the pivot
+    columns are those of the reduced echelon form. Each pivot is yielded
+    as (j, row, inv): its column, its row without column j, and the
+    inverse of its entry. The rows left nonzero when the generator is
+    exhausted are the residual, which over F_p is always empty.
     """
     cols = {}
     for i, row in enumerate(rows):
@@ -529,26 +491,27 @@ def _unit_pivot_reduce(rows, p=None):
             cols.setdefault(j, set()).add(i)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    pivots = 0
     while heap:
         length, i = heapq.heappop(heap)
         prow = rows[i]
         if length != len(prow) or not prow:
             continue  # stale entry; the row was pushed again when it changed
-        units = [j for j, x in prow.items() if p or x in (1, -1)]
-        if not units:
-            continue  # parked until an update changes the row
-        j = min(units, key=lambda c: len(cols[c]))
-        inv = pow(prow[j], -1, p) if p else prow[j]
+        if p:
+            j = min(prow)
+        else:
+            units = [c for c, x in prow.items() if x in (1, -1)]
+            if not units:
+                continue  # parked until an update changes the row
+            j = min(units, key=lambda c: len(cols[c]))
+        inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)
         rows[i] = {}
         for c in prow:
             cols[c].discard(i)
+        cols[j].discard(i)
         for r in cols.pop(j):
             row = rows[r]
             f = row.pop(j) * inv
             for c, x in prow.items():
-                if c == j:
-                    continue
                 old = row.get(c)
                 y = (0 if old is None else old) - f * x
                 if p:
@@ -561,19 +524,19 @@ def _unit_pivot_reduce(rows, p=None):
                     del row[c]
                     cols[c].discard(r)
             heapq.heappush(heap, (len(row), r))
-        pivots += 1
-    left = [row for row in rows if row]
-    used = sorted({j for row in left for j in row})
-    return pivots, IntMatrix._adopt(len(left), len(used), [[row.get(j, 0) for j in used] for row in left])
+        yield j, prow, inv
 
 
 def _rank_and_torsion(rows, p=None, torsion=False):
     """Rank of the matrix with sparse rows `rows` (consumed) over F_p, or
     over Q when p is None; with `torsion`, also its invariant factors above
     1 over Z. The dense eliminations run on the residual only."""
-    rank, residual = _unit_pivot_reduce(rows, p)
-    if residual.rows == 0:
+    rank = sum(1 for _ in _unit_pivot_reduce(rows, p))
+    left = [row for row in rows if row]
+    if not left:
         return rank, ()
+    used = sorted({j for row in left for j in row})
+    residual = IntMatrix._adopt(len(left), len(used), [[row.get(j, 0) for j in used] for row in left])
     if torsion:
         facs = invariant_factors(residual)
         return rank + len(facs), tuple(f for f in facs if f > 1)
@@ -625,8 +588,9 @@ def _homology_with_representatives(boundary_in: IntMatrix, boundary_out: IntMatr
 
     Z and Q share the integer path. The matrices define free Z-modules, so
     the Q group is the free part of the Z group and its representatives are
-    the integer free generators. Over F_p the kernel columns that the image
-    leaves out of its reduced echelon form are the representatives.
+    the integer free generators. Over F_p the representatives are the
+    kernel columns that are not pivot columns of the image's reduced
+    echelon form in kernel coordinates.
     """
     kmat = _kernel_basis(boundary_out, ring)
     k = kmat.cols
@@ -636,7 +600,7 @@ def _homology_with_representatives(boundary_in: IntMatrix, boundary_out: IntMatr
         return GroupPresentation(k), kmat.columns()
     x = _coords_in_kernel(kmat, boundary_in.columns(), ring)  # the image in kernel coordinates
     if ring.kind == "Fp":
-        pivots = _rref(x, k, ring.p)
+        pivots = _pivot_columns(x, k, ring.p)
         reps = [col for i, col in enumerate(kmat.columns()) if i not in pivots]
         return GroupPresentation(len(reps)), reps
 
@@ -652,3 +616,10 @@ def _homology_with_representatives(boundary_in: IntMatrix, boundary_out: IntMatr
     if ring.kind == "Q":
         return GroupPresentation(k - rank_x), reps[len(torsion):]
     return GroupPresentation(k - rank_x, torsion), reps
+
+
+def _pivot_columns(a, cols, p):
+    """The pivot columns of the reduced echelon form mod p of the int rows
+    `a`, each `cols` long, from unit-pivot reduction."""
+    rows = _sparse_rows(IntMatrix._adopt(len(a), cols, a), p)
+    return {j for j, _, _ in _unit_pivot_reduce(rows, p)}

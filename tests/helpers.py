@@ -12,7 +12,6 @@ from tropfan.exact import (
     GroupPresentation,
     RingTag,
     homology_of_pair,
-    kernel_field,
     kernel_lattice,
     smith_normal_form,
 )
@@ -254,78 +253,80 @@ def oracle_solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.cols, b.cols, out)
 
 
-class OracleFieldOps:
-    def __init__(self, ring: RingTag):
-        self.ring = ring
-
-    def of_int(self, x):
-        if self.ring.kind == "Q":
-            return Fraction(x)
-        return x % self.ring.p
-
-    def inv(self, x):
-        if self.ring.kind == "Q":
-            return 1 / x
-        return pow(x, self.ring.p - 2, self.ring.p)
-
-    def mul(self, x, y):
-        z = x * y
-        return z if self.ring.kind == "Q" else z % self.ring.p
-
-    def sub(self, x, y):
-        z = x - y
-        return z if self.ring.kind == "Q" else z % self.ring.p
+def _oracle_modulus(ring: RingTag):
+    """p over F_p; None over Q, whose entries are Fractions."""
+    return ring.p if ring.kind == "Fp" else None
 
 
-def oracle_rref(a, rows, cols, ops):
-    """In-place reduced row echelon form; returns pivot column list."""
+def oracle_rref(a, rows, cols, p=None):
+    """Dense column-order Gauss-Jordan elimination of the first `cols`
+    columns of the rows `a`, in place: over F_p on ints in [0, p), over Q
+    on Fractions when p is None. Each pivot row updates the other rows in
+    its nonzero columns. Returns the pivot column list."""
     pivots = []
     r = 0
     for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if p is None:
+        i0 = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if i0 is None:
             continue
-        a[r], a[p] = a[p], a[r]
-        inv = ops.inv(a[r][c])
-        a[r] = [ops.mul(inv, x) for x in a[r]]
+        a[r], a[i0] = a[i0], a[r]
+        if p is None:
+            inv = 1 / a[r][c]
+            a[r] = [inv * x for x in a[r]]
+        else:
+            inv = pow(a[r][c], p - 2, p)
+            a[r] = [inv * x % p for x in a[r]]
+        prow = a[r]
+        support = [j for j, y in enumerate(prow) if y != 0]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[c]
+            if i == r or f == 0:
+                continue
+            if p is None:
+                for j in support:
+                    row[j] -= f * prow[j]
+            else:
+                for j in support:
+                    row[j] = (row[j] - f * prow[j]) % p
         pivots.append(c)
         r += 1
     return pivots
 
 
 def oracle_rref_p(a, cols, p=None):
-    """oracle_rref behind the signature of tropfan.exact._rref."""
-    ring = Q if p is None else RingTag.Fp(p)
-    return oracle_rref(a, len(a), cols, OracleFieldOps(ring))
+    """oracle_rref behind the signature of tropfan.exact._pivot_columns."""
+    return oracle_rref(a, len(a), cols, p)
+
+
+def _oracle_entries(rows, p):
+    """The rows as residues mod p, or as Fractions when p is None."""
+    if p is None:
+        return [[Fraction(x) for x in row] for row in rows]
+    return [[x % p for x in row] for row in rows]
 
 
 def oracle_field_matrix(m: IntMatrix, ring: RingTag):
-    ops = OracleFieldOps(ring)
-    return [[ops.of_int(x) for x in row] for row in m.data]
+    return _oracle_entries(m.data, _oracle_modulus(ring))
 
 
 def oracle_rank_field(m: IntMatrix, ring: RingTag) -> int:
-    ops = OracleFieldOps(ring)
     a = oracle_field_matrix(m, ring)
-    return len(oracle_rref(a, m.rows, m.cols, ops))
+    return len(oracle_rref(a, m.rows, m.cols, _oracle_modulus(ring)))
 
 
 def oracle_kernel_field(m: IntMatrix, ring: RingTag):
-    """Kernel basis over the field, as a list of coordinate columns."""
-    ops = OracleFieldOps(ring)
+    """Kernel basis over F_p, as a list of coordinate columns."""
+    p = ring.p
     a = oracle_field_matrix(m, ring)
-    pivots = oracle_rref(a, m.rows, m.cols, ops)
+    pivots = oracle_rref(a, m.rows, m.cols, p)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for c in free:
-        vec = [ops.of_int(0)] * m.cols
-        vec[c] = ops.of_int(1)
+        vec = [0] * m.cols
+        vec[c] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = ops.sub(ops.of_int(0), a[r][c])
+            vec[pc] = -a[r][c] % p
         basis.append(vec)
     return basis
 
@@ -333,11 +334,10 @@ def oracle_kernel_field(m: IntMatrix, ring: RingTag):
 def oracle_solve_field(a_cols, b_cols, ring: RingTag):
     """The field solve that the integer kernel-coordinate solve replaced over
     Q: A*X = B by Gauss-Jordan elimination on the augmented columns."""
-    ops = OracleFieldOps(ring)
+    p = _oracle_modulus(ring)
     n, ca, cb = len(a_cols[0]), len(a_cols), len(b_cols)
-    aug = [[ops.of_int(a_cols[j][i]) for j in range(ca)] + [ops.of_int(b_cols[j][i]) for j in range(cb)]
-           for i in range(n)]
-    pivots = oracle_rref(aug, n, ca + cb, ops)
+    aug = _oracle_entries([[col[i] for col in a_cols + b_cols] for i in range(n)], p)
+    pivots = oracle_rref(aug, n, ca + cb, p)
     if any(c >= ca for c in pivots) or len(pivots) != ca:
         raise ValueError("no unique solution over the field")
     return [[aug[r][ca + j] for r in range(ca)] for j in range(cb)]
@@ -765,9 +765,9 @@ def oracle_bm_differential(fan, module, q, blocks_q, blocks_q1):
 
 def oracle_star_top(fan, gamma: int, p: int, ring: RingTag):
     """The block layout of the top degree of the star of gamma in degree p,
-    and the kernel basis of its dense top boundary: the integer kernel
-    lattice over Z and Q, the mod-p kernel over F_p. Memoized per fan under
-    its own key."""
+    and the kernel basis of its dense top boundary from the oracle
+    eliminations: the integer kernel lattice over Z and Q, the mod-p kernel
+    over F_p. Memoized per fan under its own key."""
     from tropfan.complexes import _layout
 
     def compute():
@@ -779,10 +779,10 @@ def oracle_star_top(fan, gamma: int, p: int, ring: RingTag):
         blocks_top = _layout(tops, ranks)
         top = oracle_bm_differential(fan, module, fan.dim, blocks_top, _layout(subs, ranks))
         if ring.kind == "Fp":
-            cols = kernel_field(top, ring)
+            cols = oracle_kernel_field(top, ring)
             kern = IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
         else:
-            kern = kernel_lattice(top)
+            kern = oracle_kernel_lattice(top)
         return blocks_top, kern
 
     return fan.memo(("oracle_star_top", gamma, p, str(ring)), compute)

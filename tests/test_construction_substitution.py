@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import tropfan.fans as fans
 import tropfan.intmat as intmat
 from tropfan import fixtures
-from tropfan.exact import lattice_contains
 from tropfan.fans import _face_basis, _orient_basis, build_fan
 from tropfan.intmat import IntMatrix, solve_int
 from tropfan.matroids import Matroid, bergman_fan
@@ -110,19 +109,6 @@ def test_solve_int_matches_elimination_and_fraction_oracles(system):
     got = _outcome(solve_int, a, b)
     assert got == _outcome(oracle_solve_int_elimination, a, b)
     assert got == _outcome(oracle_solve_int, a, b)
-
-
-@PROPERTY
-@given(echelon_systems())
-def test_lattice_contains_agrees_with_integral_solve(system):
-    a, b = system
-    if a.rows != b.rows:
-        return
-    for j in range(b.cols):
-        outcome = _outcome(oracle_solve_int, a, IntMatrix.from_cols([b.column(j)], rows=b.rows))
-        if outcome == (ValueError, "matrix does not have full column rank"):
-            continue
-        assert lattice_contains(a, b.column(j)) == (not isinstance(outcome, tuple))
 
 
 def test_echelon_solve_never_eliminates(monkeypatch):
