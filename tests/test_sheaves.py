@@ -1,6 +1,7 @@
 """Multi-tangent modules: wedge bases, ranks, structure maps, duality."""
 
 import gc
+import hashlib
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -351,3 +352,33 @@ def test_wedge_basis_runs_only_at_faces_without_cover(monkeypatch):
     # Once per (top face, p), and never for a face below the top.
     top_bases = [id(fan.faces[a].lattice_basis) for a in fan.top_faces()]
     assert sorted(id(b) for b in seen) == sorted(top_bases * (fan.dim + 1))
+
+
+def _module_digest(fan):
+    """sha256 of every basis, `_full` set and recorded cover map of the
+    fan's multi-tangent modules, p = 0..d, in face and key order."""
+    h = hashlib.sha256()
+    for p in range(fan.dim + 1):
+        mod = build_multitangent(fan, p)
+        for fid in range(fan.face_count()):
+            b = mod.basis[fid]
+            h.update(repr((p, fid, b.rows, b.cols, b.data)).encode())
+        h.update(repr(sorted(mod._full)).encode())
+        for key in sorted(mod._structure):
+            m = mod._structure[key]
+            h.update(repr((key, m.rows, m.cols, m.data)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (7, "8f528fe6cf37705e5b3043164925d2fc8b103d78401b8bd5817744ab87399969"),
+        (8, "54fb04e9ab7eead6431568e90716ca5f8a4b422aae6948ca3ef060756a634141"),
+    ],
+    ids=["U(4,7)", "U(4,8)"],
+)
+def test_module_bytes_are_pinned(n, digest):
+    # The construct workload's fans: its goldens check ranks only, so the
+    # bases and cover maps themselves are pinned here, byte for byte.
+    assert _module_digest(bergman_fan(Matroid.uniform(4, n)).fan) == digest
