@@ -6,13 +6,16 @@ presentations of subquotients.
 Everything is deterministic: the same input always yields byte-identical
 bases, which downstream code relies on for reproducible reports.
 
-The HNF (`intmat._row_hnf`) reduces int rows in place by whole-row
-operations, so trailing columns ride along: `kernel_lattice` and
-`hermite_normal_form` append an identity block to record the transform,
-and `hnf_basis`, which needs none, appends nothing. `_row_hnf` computes the
-HNF by insertion, each row reduced against the pivot rows found so far, and
-stops early when the rows found so far generate the whole lattice; since
-the HNF is canonical, its bases do not depend on the order of elimination.
+The HNF (`intmat._row_hnf`) reduces sparse {column: value} rows by
+whole-row operations, so columns past the matrix ride along:
+`kernel_lattice` and `hermite_normal_form` add an identity block there to
+record the transform, and `hnf_basis`, which needs none, adds nothing. The
+rows are the matrix's columns, read off as dicts of their nonzeros
+(`intmat._columns`), and the result is read back the same way. `_row_hnf`
+computes the HNF by insertion, each row reduced against the pivot rows
+found so far, and stops early when the rows found so far generate the
+whole lattice; since the HNF is canonical, its bases do not depend on the
+order of elimination.
 
 Ranks and solves over Z use the same HNF. Q runs on that integer engine
 too: the complexes here are complexes of free Z-modules, so
@@ -50,6 +53,8 @@ from fractions import Fraction
 from .intmat import (
     IntMatrix,
     SparseIntMatrix,
+    _columns,
+    _from_columns,
     _pivots_over_q,
     _row_hnf,
     solve_int,
@@ -189,11 +194,13 @@ class RingTag:
 
 
 def _transform_hnf(m: IntMatrix):
-    """The row HNF of [m^T | I] and its rank r: its rows are [h | u] with
-    h = u m^T and u unimodular, and h vanishes on the rows r.. ."""
-    n = m.cols
-    rows = [col + [int(i == j) for i in range(n)] for j, col in enumerate(m.transpose().data)]
-    return rows, _row_hnf(rows, m.rows)
+    """The row HNF of [m^T | I] as dict rows, and its rank r: the rows are
+    [h | u], u at keys m.rows and up, with h = u m^T and u unimodular, and
+    h vanishes on the rows r.. ."""
+    rows = _columns(m)
+    for j, row in enumerate(rows):
+        row[m.rows + j] = 1
+    return rows, _row_hnf(rows, m.rows, ride=True)
 
 
 def hermite_normal_form(m: IntMatrix):
@@ -205,16 +212,15 @@ def hermite_normal_form(m: IntMatrix):
     such transform; it is not canonical.
     """
     rows, _ = _transform_hnf(m)
-    h = IntMatrix._adopt(m.cols, m.rows, [row[: m.rows] for row in rows]).transpose()
-    u = IntMatrix._adopt(m.cols, m.cols, [row[m.rows :] for row in rows]).transpose()
-    return h, u
+    h = [{i: x for i, x in row.items() if i < m.rows} for row in rows]
+    u = [{i - m.rows: x for i, x in row.items() if i >= m.rows} for row in rows]
+    return _from_columns(h, m.rows), _from_columns(u, m.cols)
 
 
 def hnf_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis (nonzero HNF columns) of the column lattice of m."""
-    rows = m.transpose().data
-    r = _row_hnf(rows, m.rows)
-    return IntMatrix._adopt(r, m.rows, rows[:r]).transpose()
+    rows = _columns(m)
+    return _from_columns(rows[: _row_hnf(rows, m.rows)], m.rows)
 
 
 def smith_normal_form(m: IntMatrix):
@@ -321,9 +327,9 @@ def kernel_lattice(m: IntMatrix) -> IntMatrix:
     # The u parts of the rows of [h | u] where h vanishes are a basis of the
     # kernel, and their HNF is the canonical one.
     rows, r = _transform_hnf(m)
-    basis = [row[m.rows :] for row in rows[r:]]
+    basis = [{j - m.rows: x for j, x in row.items()} for row in rows[r:]]
     _row_hnf(basis, m.cols)
-    return IntMatrix._adopt(len(basis), m.cols, basis).transpose()
+    return _from_columns(basis, m.cols)
 
 
 def saturate(b: IntMatrix) -> IntMatrix:

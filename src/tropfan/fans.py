@@ -23,10 +23,10 @@ transpositions. Only non-simplicial faces solve for their signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb, gcd
 
-from .intmat import IntMatrix, _echelon_pivots, _pivots_over_q, det_int
+from .intmat import IntMatrix, _pivots_over_q, det_int
 from .exact import RingTag, hnf_basis, rank_over_q, saturate
 
 # The largest face count a fan may have. It admits the Bergman fan of U(5,7)
@@ -49,7 +49,7 @@ def _coords_det_sign(basis: IntMatrix, mat: IntMatrix) -> int:
     on the diagonal, so det(X) = det(mat_P) / prod(pivots) and no solve is
     needed.
     """
-    pivots = _echelon_pivots(basis)
+    pivots = [next(compress(count(), col)) for col in zip(*basis.data)]
     det = det_int(mat.submatrix(pivots, range(mat.cols)))
     for j, r in enumerate(pivots):
         if basis.data[r][j] < 0:

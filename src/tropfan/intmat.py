@@ -7,21 +7,23 @@ differentials, which are mostly zeros, are `SparseIntMatrix`es: one dict of
 nonzeros per row, with the list-of-lists form built only when it is read.
 
 Ranks, pivot columns and linear systems over Z and Q share one elimination
-on Python ints, the insertion HNF (`_row_hnf`); `exact` builds its lattice
-bases on it too. The lead columns of the HNF of a matrix's rows are its
-first independent columns, so their count is its rank over Q. A system
-a*X = b is solved on the HNF of [a | b], whose row operations are
-unimodular: with a of full column rank its top rows are triangular, and
-back substitution divides exactly over Z and in Fractions over Q. An
-integral solve against a matrix in column echelon form, such as a canonical
-HNF basis, is forward substitution instead (`_substitute`).
+on Python ints, the insertion HNF (`_row_hnf`), which runs on sparse rows:
+one {column: value} dict of nonzeros per row. `exact` builds its lattice
+bases on it too, and the module build its modules. The lead columns of the
+HNF of a matrix's rows are its first independent columns, so their count is
+its rank over Q. A system a*X = b is solved on the HNF of [a | b], whose row
+operations are unimodular: with a of full column rank its top rows are
+triangular, and back substitution divides exactly over Z and in Fractions
+over Q. An integral solve against a matrix whose columns lead at distinct
+rows, such as a canonical HNF basis, is forward substitution on the sparse
+columns instead (`_substitute`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from fractions import Fraction
-from itertools import chain, compress, count, islice
+from itertools import chain
 from operator import ne
 
 
@@ -149,7 +151,9 @@ class IntMatrix:
         return [sum(self.data[i][j] * vec[j] for j in range(self.cols)) for i in range(self.rows)]
 
     def hstack(self, other):
-        return hstack_all([self, other])
+        if self.rows != other.rows:
+            raise ValueError("row mismatch in hstack")
+        return IntMatrix._adopt(self.rows, self.cols + other.cols, [a + b for a, b in zip(self.data, other.data)])
 
 
 class SparseIntMatrix(IntMatrix):
@@ -175,18 +179,6 @@ class SparseIntMatrix(IntMatrix):
                 dense.append(row)
             self._dense = dense
         return self._dense
-
-
-def hstack_all(mats):
-    """Concatenate matrices side by side; all must share a row count. Each
-    row is built in one pass."""
-    if not mats:
-        raise ValueError("empty hstack")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("row mismatch in hstack")
-    data = [list(chain.from_iterable(parts)) for parts in zip(*(m.data for m in mats))]
-    return IntMatrix._adopt(rows, sum(m.cols for m in mats), data)
 
 
 def det_int(m: IntMatrix) -> int:
@@ -227,15 +219,24 @@ def _xgcd(a, b):
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-def _lead(row, start, ncols):
-    """The first column in [start, ncols) where `row` is nonzero, else ncols."""
-    return next(compress(count(start), islice(row, start, ncols)), ncols)
+def _reduce(row, prow, q):
+    """row -= q * prow, in place, on {column: value} dict rows."""
+    for j, y in prow.items():
+        x = row.get(j, 0) - q * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
-def _row_hnf(rows, ncols):
-    """In-place row-style HNF of the first `ncols` columns of the int lists
-    `rows`; returns the rank r, and rows[r:] are zero in those columns.
-    Pivots are positive and entries above a pivot are reduced into [0, pivot).
+def _row_hnf(rows, ncols, ride=False):
+    """In-place row-style HNF of the first `ncols` columns of the
+    {column: value} dict rows `rows`, which hold their nonzeros only and
+    whose columns `ncols` and up ride along (`ride` says there are any).
+    Returns the rank r; rows[:r] are the pivot rows in pivot order and
+    rows[r:] hold no column below `ncols`. Pivots are positive and entries
+    above a pivot are reduced into [0, pivot). The dicts given are copied
+    as they are read, not changed.
 
     HNF by insertion: the pivot rows found so far are kept by pivot column,
     and each row is inserted in turn. At an occupied pivot column the row
@@ -246,7 +247,8 @@ def _row_hnf(rows, ncols):
     Each new or changed pivot row is reduced at the later pivot columns at
     once, which keeps the entries small: without it dense inputs blow up,
     and trailing columns with them. One back-reduction pass in pivot order
-    then gives the canonical form.
+    then gives the canonical form. Each step reads and writes the nonzeros
+    of the two rows only, so sparse generators stay cheap.
 
     Full-lattice exit: when no columns ride along and there are `ncols`
     unit pivots, the lattice is all of Z^ncols, and the rows not yet
@@ -254,7 +256,6 @@ def _row_hnf(rows, ncols):
     generators of a full lattice (the modules at the vertex of a Bergman
     fan) stops after a few dozen rows.
     """
-    ride = bool(rows) and len(rows[0]) > ncols
     pivots = {}  # pivot column -> its row
     order = []  # the pivot columns, sorted
     zero = []
@@ -264,21 +265,25 @@ def _row_hnf(rows, ncols):
         # A pivot row is zero left of its pivot, so reducing at the later
         # pivot columns in increasing order never undoes an earlier step.
         for c2 in order[bisect_right(order, c):]:
-            q = prow[c2] // pivots[c2][c2]
+            q = prow.get(c2, 0) // pivots[c2][c2]
             if q:
-                prow[:] = [x - q * y for x, y in zip(prow, pivots[c2])]
+                _reduce(prow, pivots[c2], q)
 
     for k, row in enumerate(rows):
         if units == ncols and not ride:
-            zero.extend([0] * ncols for _ in range(len(rows) - k))
+            zero.extend({} for _ in range(len(rows) - k))
             break
-        c = _lead(row, 0, ncols)
+        row = dict(row)
+        # The least key is the lead: a row holds no key below the columns
+        # it has lost, and a key of `ncols` or more ends the loop.
+        c = min(row, default=ncols)
         while c < ncols:
             prow = pivots.get(c)
             x = row[c]
             if prow is None:
                 if x < 0:
-                    row = [-y for y in row]
+                    for j in row:
+                        row[j] = -row[j]
                     x = -x
                 if order and order[-1] > c:
                     reduce_later(row, c)
@@ -289,20 +294,25 @@ def _row_hnf(rows, ncols):
             a = prow[c]
             q, rem = divmod(x, a)
             if not rem:
-                row = [y - q * z for y, z in zip(row, prow)]
+                _reduce(row, prow, q)
             else:
                 # The pivot becomes g = gcd(a, x) and the row loses its entry
                 # at c; the 2x2 step [[s, t], [-x/g, a/g]] has determinant 1.
                 g, s, t = _xgcd(a, x)
                 u, v = a // g, x // g
-                pairs = list(zip(prow, row))
-                prow = [s * y + t * z for y, z in pairs]
-                row = [u * z - v * y for y, z in pairs]
+                top, bottom = {}, {}
+                for j in prow.keys() | row.keys():
+                    y, z = prow.get(j, 0), row.get(j, 0)
+                    if w := s * y + t * z:
+                        top[j] = w
+                    if w := u * z - v * y:
+                        bottom[j] = w
+                prow, row = top, bottom
                 if order[-1] > c:
                     reduce_later(prow, c)
                 pivots[c] = prow
                 units += g == 1
-            c = _lead(row, c + 1, ncols)
+            c = min(row, default=ncols)
         else:
             zero.append(row)
     # Back-reduction: reducing at pivot c changes an earlier pivot row only
@@ -311,20 +321,37 @@ def _row_hnf(rows, ncols):
     for c in order:
         prow = pivots[c]
         piv = prow[c]
-        for i, row in enumerate(done):
-            q = row[c] // piv
+        for row in done:
+            q = row.get(c, 0) // piv
             if q:
-                done[i] = [x - q * y for x, y in zip(row, prow)]
+                _reduce(row, prow, q)
         done.append(prow)
     rows[:] = done + zero
     return len(done)
 
 
+def _columns(m: IntMatrix):
+    """The nonzeros of each column of m, as one new {row: value} dict each."""
+    if not m.rows:
+        return [{} for _ in range(m.cols)]
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*m.data)]
+
+
+def _from_columns(cols, rows):
+    """The rows x len(cols) matrix whose columns are the dicts `cols`, each
+    {row: value} with rows below `rows`."""
+    data = [[0] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            data[i][j] = x
+    return IntMatrix._adopt(rows, len(cols), data)
+
+
 def _pivots_over_q(m: IntMatrix):
     """Pivot column indices of m over Q (its rank is their count): the lead
     columns of its row HNF, which are its first independent columns."""
-    rows = [row[:] for row in m.data]
-    return [_lead(row, 0, m.cols) for row in rows[: _row_hnf(rows, m.cols)]]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    return [min(row) for row in rows[: _row_hnf(rows, m.cols)]]
 
 
 def _solve_hnf(a: IntMatrix, b: IntMatrix, divide):
@@ -337,19 +364,18 @@ def _solve_hnf(a: IntMatrix, b: IntMatrix, divide):
     cols = a.cols
     if b.rows != a.rows:
         raise ValueError("shape mismatch in solve")
-    aug = [ra + rb for ra, rb in zip(a.data, b.data)]
-    if _row_hnf(aug, cols) != cols:
+    aug = [{j: x for j, x in enumerate(ra + rb) if x} for ra, rb in zip(a.data, b.data)]
+    if _row_hnf(aug, cols, ride=b.cols > 0) != cols:
         raise ValueError("matrix does not have full column rank")
     # Consistency: rows beyond the pivot rows must be zero on the rhs too.
-    if any(any(row[cols:]) for row in aug[cols:]):
+    if any(aug[cols:]):
         raise ValueError("inconsistent system")
     x = [None] * cols
     for k in reversed(range(cols)):
         row = aug[k]
-        rhs = row[cols:]
-        for i in range(k + 1, cols):
-            f = row[i]
-            if f:
+        rhs = [row.get(j, 0) for j in range(cols, cols + b.cols)]
+        for i, f in row.items():
+            if k < i < cols:
                 rhs = [y - f * z for y, z in zip(rhs, x[i])]
         x[k] = [divide(y, row[k]) for y in rhs]
     return x
@@ -365,37 +391,28 @@ def solve_exact(a: IntMatrix, b: IntMatrix):
     return _solve_hnf(a, b, Fraction)
 
 
-def _echelon_pivots(a: IntMatrix):
-    """The pivot row (first nonzero row) of each column of a, or None unless
-    these strictly increase, that is unless a is in column echelon form."""
-    pivots = []
-    for j in range(a.cols):
-        for i, row in enumerate(a.data):
-            if row[j]:
-                break
-        else:
-            return None
-        if pivots and i <= pivots[-1]:
-            return None
-        pivots.append(i)
-    return pivots
-
-
-def _substitute(a: IntMatrix, pivots, rows):
-    """The rows of the integer X with a*X = B, by forward substitution
-    against a in column echelon form with the given pivot rows, where `rows`
-    lists the rows of B; None when a column of B is not an integral
-    combination of the columns of a. The list `rows` is overwritten (the row
-    lists in it are not): what is left in it, remainders at pivot rows
-    included, must be zero."""
-    x = []
-    for r, col in zip(pivots, zip(*a.data)):
-        q = [y // col[r] for y in rows[r]]
-        for i, f in enumerate(col[r:], r):
-            if f:
-                rows[i] = [y - f * z for y, z in zip(rows[i], q)]
-        x.append(q)
-    return None if any(map(any, rows)) else x
+def _substitute(echelon, cols):
+    """The rows of the integer X with A X = B, by forward substitution:
+    `echelon` lists the columns of A as dict rows with distinct leads
+    (least keys), and `cols` the columns of B. Each column of B loses its
+    lead entry to the column of A led there, until it is zero; None when a
+    remainder is left, that is when a column of B is not an integral
+    combination of the columns of A. The dicts given are not changed."""
+    led = {min(e): (k, e) for k, e in enumerate(echelon)}
+    x = [[0] * len(cols) for _ in echelon]
+    for j, col in enumerate(cols):
+        rem = dict(col)
+        while rem:
+            c = min(rem)
+            if c not in led:
+                return None
+            k, e = led[c]
+            q, r = divmod(rem[c], e[c])
+            if r:
+                return None
+            _reduce(rem, e, q)
+            x[k][j] = q
+    return x
 
 
 def _divide_exactly(n, d):
@@ -408,14 +425,16 @@ def _divide_exactly(n, d):
 def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Solve a*X = b insisting on an integral solution.
 
-    Against a in column echelon form this is forward substitution; any
-    failure there, or any other a, goes through the HNF of [a | b]
-    (`_solve_hnf`), which raises the ValueError that describes it. Its row
-    operations are unimodular, so an integral solution survives them.
+    Against a whose columns lead at distinct rows, such as a canonical HNF
+    basis, this is forward substitution (`_substitute`); any failure there,
+    or any other a, goes through the HNF of [a | b] (`_solve_hnf`), which
+    raises the ValueError that describes it. Its row operations are
+    unimodular, so an integral solution survives them.
     """
-    pivots = _echelon_pivots(a) if a.rows == b.rows else None
-    if pivots is not None:
-        x = _substitute(a, pivots, list(b.data))
-        if x is not None:
-            return IntMatrix._adopt(a.cols, b.cols, x)
+    if a.rows == b.rows:
+        echelon = _columns(a)
+        if all(echelon) and len({min(e) for e in echelon}) == a.cols:
+            x = _substitute(echelon, _columns(b))
+            if x is not None:
+                return IntMatrix._adopt(a.cols, b.cols, x)
     return IntMatrix._adopt(a.cols, b.cols, _solve_hnf(a, b, _divide_exactly))

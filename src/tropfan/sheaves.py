@@ -16,14 +16,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .exact import hnf_basis
-from .intmat import IntMatrix, _echelon_pivots, _substitute, hstack_all, solve_int
+from .intmat import IntMatrix, _columns, _from_columns, _row_hnf, _substitute, solve_int
 
 
 @lru_cache(maxsize=128)
-def _row_masks(n: int, s: int):
-    """The s-subsets of range(n) in lex order, each with its bit mask."""
-    return tuple((rows, sum(1 << i for i in rows)) for rows in combinations(range(n), s))
+def _lex_index(n: int, s: int):
+    """The bit mask of each s-subset of range(n) -> its place in lex order."""
+    return {sum(1 << i for i in rows): k for k, rows in enumerate(combinations(range(n), s))}
 
 
 def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
@@ -31,32 +30,35 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
 
     Column J (a p-subset of basis columns, lex order) holds the p x p minors
     of those columns against all p-subsets of rows (lex order). The size-s
-    minors come from the size-(s-1) ones by Laplace expansion along the last
-    column, so each costs s products instead of a determinant.
+    minors come from the nonzero size-(s-1) ones by Laplace expansion along
+    the last column, over the support of that column only, so each nonzero
+    term costs one product and no zero minor is visited.
     """
     n, r = basis.rows, basis.cols
     if p < 0 or p > r:
         raise ValueError(f"wedge degree {p} out of range for rank {r}")
-    a = basis.data
+    support = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*basis.data)] if n else [[]] * r
 
-    # minors[J][mask]: the minor on columns J and the rows in the bit mask,
-    # with the masks in the lex order of their row subsets.
+    # minors[J]: {bit mask of a row subset: its nonzero minor on columns J}.
     minors = {(): {0: 1}}
     for s in range(1, p + 1):
         smaller, minors = minors, {}
-        subsets = _row_masks(n, s)
         for cols in combinations(range(r), s):
-            below, c = smaller[cols[:-1]], cols[-1]
             col = minors[cols] = {}
-            for rows, mask in subsets:
-                total = 0
-                sign = 1 if s % 2 else -1  # (-1)^(s-1-t) for row position t = 0
-                for i in rows:
-                    if a[i][c]:
-                        total += sign * a[i][c] * below[mask ^ (1 << i)]
-                    sign = -sign
-                col[mask] = total
-    data = [list(row) for row in zip(*(col.values() for col in minors.values()))]
+            for mask, m in smaller[cols[:-1]].items():
+                for i, x in support[cols[-1]]:
+                    bit = 1 << i
+                    if not mask & bit:
+                        # Row i is in place t of the new subset; its sign is
+                        # (-1)^(s-1-t), t the rows of the mask below it.
+                        term = x * m if (s - (mask & (bit - 1)).bit_count()) % 2 else -x * m
+                        col[mask | bit] = col.get(mask | bit, 0) + term
+            minors[cols] = {mask: m for mask, m in col.items() if m}
+    index = _lex_index(n, p)
+    data = [[0] * len(minors) for _ in index]
+    for j, col in enumerate(minors.values()):
+        for mask, m in col.items():
+            data[index[mask]][j] = m
     return IntMatrix._adopt(len(data), len(minors), data)
 
 
@@ -136,30 +138,37 @@ def build_multitangent(fan, p: int) -> ModuleAssignment:
     generator, and dual coordinates there are wedge coordinates), and every
     other face gets the canonical HNF basis H of its covers' bases together,
     G = [B_1 | ... | B_k], with each cover's inclusion as its columns of the
-    integral X with H X = G. Each face takes the cheapest exact argument
-    that applies:
+    integral X with H X = G. The build keeps each face's basis columns as
+    sparse {coordinate: value} rows until it ends, so G is a concatenation
+    of lists; the stored bases and maps are dense. Each face takes the
+    cheapest exact argument that applies:
 
     - full: when a cover's module is the whole wedge power, so is the
       face's. H is the identity of size C(n, p), shared by all full faces,
       and X = G, so each cover's map is that cover's basis. Nothing is
       stacked. A maximal face whose wedge basis is that identity is full,
       and at p = 0 every maximal face is.
-    - contained: when G substitutes against the basis of its largest inner
-      cover (one with covers of its own, so its basis is a canonical HNF)
-      with every remainder zero, the sum is that cover's lattice, and
-      canonical HNF is unique, so H is that basis and X the substitution.
-    - full-lattice exit: when the HNF of G is the identity, X = G as above.
-    - otherwise one `solve_int` of H X = G, which checks H X = G exactly.
+    - contained: when G substitutes forward against the basis of its
+      largest inner cover (one with covers of its own, so its basis is a
+      canonical HNF) with every remainder zero, the sum is that cover's
+      lattice, and canonical HNF is unique, so H is that basis and X the
+      substitution.
+    - full-lattice exit: when the insertion HNF of G (`intmat._row_hnf`)
+      is the identity, X = G as above.
+    - otherwise H is that HNF and X the substitution of G against it.
 
-    Every path checks H X = G: the substitution and the solve check a zero
-    remainder, and H = I makes X = G hold by definition. Bases and maps may
-    therefore be shared objects (see `ModuleAssignment`).
+    Every path checks H X = G: the substitution returns None on any nonzero
+    remainder, which after the HNF is an error, and H = I makes X = G hold
+    by definition. Bases and maps may therefore be shared objects (see
+    `ModuleAssignment`).
     """
     if p < 0 or p > fan.dim:
         raise ValueError(f"degree {p} out of range for a {fan.dim}-dimensional fan")
     full = IntMatrix.identity(comb(fan.ambient_rank, p))
+    unit = [{k: 1} for k in range(full.rows)]  # the HNF rows of the identity
     mod = ModuleAssignment(fan, p, "cosheaf", {})
     basis, maps, full_faces = mod.basis, mod._structure, mod._full
+    gens = {}  # face id -> the columns of its basis as dict rows, for the build
     # Face ids grow with dimension (see `build_fan`), so covers come first.
     for fid in reversed(range(fan.face_count())):
         covers = fan.covers_of(fid)
@@ -168,33 +177,37 @@ def build_multitangent(fan, p: int) -> ModuleAssignment:
             if b == full:
                 b = full
                 full_faces.add(fid)
+            else:
+                gens[fid] = _columns(b)
             basis[fid] = b
             continue
-        if any(c in full_faces for c in covers):
+        x = None
+        if not any(c in full_faces for c in covers):
+            # A largest cover with covers of its own goes first: its basis is
+            # a canonical HNF already, so its columns enter the HNF
+            # unreduced, and when it holds the other covers it is the face's.
+            inner = [c for c in covers if fan.covers_of(c)]
+            if inner:
+                first = max(inner, key=lambda c: basis[c].cols)
+                covers = [first] + [c for c in covers if c != first]
+            g = [col for c in covers for col in gens[c]]
+            h, rows = basis[covers[0]], gens[covers[0]]
+            x = _substitute(rows, g) if inner else None
+            if x is None:
+                rows = g[:]
+                del rows[_row_hnf(rows, full.rows):]
+                if rows != unit:
+                    h = _from_columns(rows, full.rows)
+                    x = _substitute(rows, g)
+                    if x is None:
+                        raise ArithmeticError("a cover's module is not in the face's module")
+        if x is None:  # full: a cover's module or the HNF of G is the identity
             basis[fid] = full
             full_faces.add(fid)
             for c in covers:
                 maps[(c, fid)] = basis[c]
             continue
-        # A largest cover with covers of its own goes first: its basis is a
-        # canonical HNF already, so its columns enter the HNF unreduced, and
-        # when it holds the other covers it is the face's basis.
-        inner = [c for c in covers if fan.covers_of(c)]
-        if inner:
-            first = max(inner, key=lambda c: basis[c].cols)
-            covers = [first] + [c for c in covers if c != first]
-        stacked = hstack_all([basis[c] for c in covers])
-        h = basis[covers[0]]
-        x = _substitute(h, _echelon_pivots(h), list(stacked.data)) if inner else None
-        if x is None:
-            h = hnf_basis(stacked)
-            if h == full:
-                h = full
-                x = stacked.data
-                full_faces.add(fid)
-            else:
-                x = solve_int(h, stacked).data
-        basis[fid] = h
+        basis[fid], gens[fid] = h, rows
         start = 0
         for c in covers:
             end = start + basis[c].cols

@@ -12,11 +12,10 @@ from tropfan.exact import (
     GroupPresentation,
     RingTag,
     homology_of_pair,
-    kernel_lattice,
     smith_normal_form,
 )
 from tropfan.fans import WeightedFan, build_fan
-from tropfan.intmat import IntMatrix, solve_int
+from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
 Z = RingTag.Z()
@@ -424,28 +423,23 @@ def oracle_kernel_lattice(m: IntMatrix) -> IntMatrix:
 def oracle_multitangent_bases(fan, p: int):
     """Face id -> basis of F_p: the HNF of the wedge powers of all maximal
     cofaces of the face, a maximal face keeping its own wedge power."""
-    from tropfan.intmat import hstack_all
-    from tropfan.sheaves import wedge_basis
-
     basis = {}
     for fid in range(fan.face_count()):
         tops = fan.maximal_cofaces(fid)
         if tops == [fid]:
-            basis[fid] = wedge_basis(fan.faces[fid].lattice_basis, p)
+            basis[fid] = oracle_wedge_basis(fan.faces[fid].lattice_basis, p)
         else:
-            mats = [wedge_basis(fan.faces[a].lattice_basis, p) for a in tops]
-            basis[fid] = oracle_hnf_basis(hstack_all(mats))
+            mats = [oracle_wedge_basis(fan.faces[a].lattice_basis, p) for a in tops]
+            columns = [col for m in mats for col in m.columns()]
+            basis[fid] = oracle_hnf_basis(IntMatrix.from_cols(columns, rows=mats[0].rows))
     return basis
 
 
 def oracle_orientation_coordinate(fan, alpha: int) -> int:
     """Coordinate of the orientation generator of the top wedge module at
     alpha in the stored basis, by an integer solve."""
-    from tropfan.intmat import solve_int
-    from tropfan.sheaves import wedge_basis
-
-    lam = wedge_basis(fan.faces[alpha].lattice_basis, fan.dim)
-    eps = solve_int(fan.multitangent(fan.dim).basis[alpha], lam)
+    lam = oracle_wedge_basis(fan.faces[alpha].lattice_basis, fan.dim)
+    eps = oracle_solve_int_elimination(fan.multitangent(fan.dim).basis[alpha], lam)
     if abs(eps.data[0][0]) != 1:
         raise AssertionError("stored top basis is not a generator")
     return eps.data[0][0]
@@ -455,17 +449,15 @@ def oracle_cap_change(fan, alpha: int, p: int) -> IntMatrix:
     """Contraction against Lambda_alpha from stored dual degree-p coordinates
     at alpha to the stored degree-(d-p) basis at alpha, by four solves."""
     from tropfan.duality import _contraction_against_top
-    from tropfan.intmat import solve_int
-    from tropfan.sheaves import wedge_basis
 
     d = fan.dim
     basis_alpha = fan.faces[alpha].lattice_basis
     # Dual coordinates: stored basis -> wedge basis of the face basis.
-    t_p = solve_int(wedge_basis(basis_alpha, p), fan.multitangent(p).basis[alpha])
-    dual_change = solve_int(t_p, IntMatrix.identity(t_p.rows)).transpose()
+    t_p = oracle_solve_int_elimination(oracle_wedge_basis(basis_alpha, p), fan.multitangent(p).basis[alpha])
+    dual_change = oracle_solve_int_elimination(t_p, IntMatrix.identity(t_p.rows)).transpose()
     contr = _contraction_against_top(d, p)
-    t_dp = solve_int(wedge_basis(basis_alpha, d - p), fan.multitangent(d - p).basis[alpha])
-    back = solve_int(t_dp, IntMatrix.identity(t_dp.rows))
+    t_dp = oracle_solve_int_elimination(oracle_wedge_basis(basis_alpha, d - p), fan.multitangent(d - p).basis[alpha])
+    back = oracle_solve_int_elimination(t_dp, IntMatrix.identity(t_dp.rows))
     return back * contr * dual_change
 
 
@@ -556,15 +548,15 @@ def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, rin
         return GroupPresentation(len(reps)), reps
 
     # Z and Q: SNF of the image expressed in the kernel lattice basis.
-    kmat = kernel_lattice(boundary_out)
+    kmat = oracle_kernel_lattice(boundary_out)
     k = kmat.cols
     if k == 0:
         return GroupPresentation(0), []
     if boundary_in.cols == 0:
         return GroupPresentation(k), kmat.columns()
-    x = solve_int(kmat, boundary_in)  # integral since im lies in the kernel lattice
+    x = oracle_solve_int_elimination(kmat, boundary_in)  # integral since im lies in the kernel lattice
     s, u, _ = smith_normal_form(x)
-    u_inv = solve_int(u, IntMatrix.identity(u.rows))
+    u_inv = oracle_solve_int_elimination(u, IntMatrix.identity(u.rows))
     adapted = kmat * u_inv
     diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
     rank_x = sum(1 for d in diag if d != 0)

@@ -111,6 +111,26 @@ def test_solve_int_matches_elimination_and_fraction_oracles(system):
     assert got == _outcome(oracle_solve_int, a, b)
 
 
+@PROPERTY
+@given(echelon_systems())
+def test_substitution_fails_exactly_when_the_oracle_solve_raises(system):
+    # Against columns with distinct leads, the sparse forward substitution
+    # is None exactly when a*X = b has no integral solution, and otherwise
+    # it is that solution; it leaves its arguments as they were.
+    a, b = system
+    echelon, cols = intmat._columns(a), intmat._columns(b)
+    if a.rows != b.rows or not all(echelon) or len({min(e) for e in echelon}) < a.cols:
+        return
+    before = [dict(col) for col in echelon + cols]
+    x = intmat._substitute(echelon, cols)
+    expected = _outcome(oracle_solve_int, a, b)
+    if x is None:
+        assert isinstance(expected, tuple)
+    else:
+        assert IntMatrix(a.cols, b.cols, x) == expected
+    assert echelon + cols == before
+
+
 def test_echelon_solve_never_eliminates(monkeypatch):
     def refuse(a, b, divide):
         raise AssertionError("eliminated")

@@ -253,6 +253,26 @@ def hnf_inputs(draw):
     return IntMatrix(rows, cols, entries(rows, cols, 1.0 if kind == "dense" else 0.15))
 
 
+def _check_row_hnf(m, ride):
+    """The insertion HNF of the rows of m as dict rows, with identity
+    columns riding along when `ride`, against the Euclidean oracle."""
+    h, _ = oracle_row_hnf(m)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    if ride:
+        for i, row in enumerate(rows):
+            row[m.cols + i] = 1
+    r = exact._row_hnf(rows, m.cols, ride=ride)
+    # Only nonzeros are kept: a stored zero would be taken for a lead.
+    assert all(all(row.values()) for row in rows)
+    dense = [[row.get(j, 0) for j in range(m.cols + m.rows * ride)] for row in rows]
+    assert r == sum(1 for row in h.data if any(row))
+    assert [row[: m.cols] for row in dense] == h.data
+    if ride:
+        u = IntMatrix(m.rows, m.rows, [row[m.cols :] for row in dense])
+        assert (u * m).data == h.data
+        assert det_int(u) in (1, -1)
+
+
 @PROPERTY
 @given(hnf_inputs(), st.booleans())
 @example(IntMatrix(0, 0), False)
@@ -265,29 +285,75 @@ def test_row_hnf_matches_the_euclidean_oracle(m, ride):
     # Insertion and Euclid reach the same canonical H: the same rank, the
     # same pivot rows and zero rows below them. With identity columns riding
     # along, the trailing block is a unimodular U with U*m = H.
-    h, _ = oracle_row_hnf(m)
-    rows = [row + [int(i == j) for j in range(m.rows)] if ride else row[:] for i, row in enumerate(m.data)]
-    r = exact._row_hnf(rows, m.cols)
-    assert r == sum(1 for row in h.data if any(row))
-    assert [row[: m.cols] for row in rows] == h.data
-    if ride:
-        u = IntMatrix(m.rows, m.rows, [row[m.cols :] for row in rows])
-        assert (u * m).data == h.data
-        assert det_int(u) in (1, -1)
+    _check_row_hnf(m, ride)
 
 
-class _CountedRow(list):
-    """A row that counts how often its entries are read."""
+@st.composite
+def sparse_generators(draw):
+    """Stacks of up to 60 generator rows with at most three nonzeros each,
+    some of them large, as the module build stacks its covers' bases."""
+    rows, cols = draw(st.integers(0, 60)), draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    data = [[0] * cols for _ in range(rows)]
+    for row in data:
+        for _ in range(rng.randint(0, 3)):
+            row[rng.randrange(cols)] = rng.choice([1, -1, 2, -3, rng.randint(-10**6, 10**6)])
+    return IntMatrix(rows, cols, data)
+
+
+@PROPERTY
+@given(sparse_generators(), st.booleans())
+def test_row_hnf_of_sparse_generators_matches_the_euclidean_oracle(m, ride):
+    _check_row_hnf(m, ride)
+
+
+class _CountedRow(dict):
+    """A dict row that counts how often its entries are read."""
 
     reads = 0
 
-    def __getitem__(self, key):
-        _CountedRow.reads += 1
-        return super().__getitem__(key)
+    def _read(name):
+        def read(self, *args):
+            _CountedRow.reads += 1
+            return getattr(dict, name)(self, *args)
 
-    def __iter__(self):
-        _CountedRow.reads += 1
-        return super().__iter__()
+        return read
+
+    __getitem__, __iter__, get, items, keys = map(_read, ("__getitem__", "__iter__", "get", "items", "keys"))
+
+
+@st.composite
+def full_lattice_stacks(draw):
+    """More than `ncols` generators of Z^ncols: `ncols` unitriangular rows
+    in any order among sparse extra rows, and one extra row after them."""
+    cols = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def sparse(start):
+        return {j: rng.randint(-50, 50) for j in range(start, cols) if rng.random() < 0.3}
+
+    units = [{i: 1, **sparse(i + 1)} for i in range(cols)]
+    extra = [sparse(0) for _ in range(draw(st.integers(1, 2 * cols)))]
+    rows = units + extra[:-1]
+    rng.shuffle(rows)
+    return cols, [{j: x for j, x in row.items() if x} for row in rows + extra[-1:]]
+
+
+@PROPERTY
+@given(full_lattice_stacks())
+def test_row_hnf_takes_the_full_lattice_exit(stack):
+    # Once the unit rows are in, the rows generate Z^ncols: the last row is
+    # never read, and the result is still the oracle's, the identity and
+    # zero rows.
+    cols, rows = stack
+    m = IntMatrix(len(rows), cols, [[row.get(j, 0) for j in range(cols)] for row in rows])
+    rows[-1] = _CountedRow(rows[-1])
+    _CountedRow.reads = 0
+    assert exact._row_hnf(rows, cols) == cols
+    assert _CountedRow.reads == 0
+    h, _ = oracle_row_hnf(m)
+    assert [[row.get(j, 0) for j in range(cols)] for row in rows] == h.data
+    assert h.data == IntMatrix.identity(cols).data + [[0] * cols for _ in range(m.rows - cols)]
 
 
 @pytest.mark.parametrize("m", [1, 4, 9])
@@ -299,11 +365,13 @@ def test_row_hnf_stops_at_the_full_lattice(m, monkeypatch):
     units = [[0] * i + [1] + [rng.randint(-9, 9) for _ in range(m - i - 1)] for i in range(m)]
     rng.shuffle(units)
     rest = [[rng.randint(-50, 50) for _ in range(m)] for _ in range(2 * m)]
-    rows = [row[:] for row in units] + [_CountedRow(row) for row in rest]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in units]
+    rows += [_CountedRow({j: x for j, x in enumerate(row) if x}) for row in rest]
     assert exact._row_hnf(rows, m) == m
     assert _CountedRow.reads == 0
     h, _ = oracle_row_hnf(IntMatrix(3 * m, m, units + rest))
-    assert rows == h.data == IntMatrix.identity(m).data + [[0] * m for _ in range(2 * m)]
+    assert [[row.get(j, 0) for j in range(m)] for row in rows] == h.data
+    assert h.data == IntMatrix.identity(m).data + [[0] * m for _ in range(2 * m)]
 
 
 @PROPERTY

@@ -13,7 +13,7 @@ import tropfan.sheaves as sheaves
 from tropfan.complexes import _star, star_row_complex
 from tropfan.duality import _star_report, is_local_tpd, local_tpd_characterization
 from tropfan.exact import hnf_basis, kernel_lattice
-from tropfan.intmat import IntMatrix, det_int, hstack_all
+from tropfan.intmat import IntMatrix, det_int
 from tropfan.matroids import Matroid, bergman_fan
 from tropfan.sheaves import build_multicotangent, build_multitangent, wedge_basis
 
@@ -123,8 +123,8 @@ def test_vertex_basis_order_independent():
     mod = fan.multitangent(p)
     mats = [wedge_basis(fan.faces[a].lattice_basis, p) for a in fan.top_faces()]
     expected = mod.basis[fan.vertex_id]
-    assert hnf_basis(hstack_all(mats)) == expected
-    assert hnf_basis(hstack_all(list(reversed(mats)))) == expected
+    assert hnf_basis(IntMatrix.from_cols([col for m in mats for col in m.columns()])) == expected
+    assert hnf_basis(IntMatrix.from_cols([col for m in reversed(mats) for col in m.columns()])) == expected
 
 
 def test_cosheaf_functoriality():
@@ -294,28 +294,42 @@ def _module_paths(fan, p):
 
 
 def test_module_build_takes_each_path_and_eliminates_only_on_the_last(monkeypatch):
-    # On U(4,5) every path occurs. `hnf_basis` runs only at "exit" and
-    # "hnf" faces, and `solve_int` only at "hnf" faces, against the face's
-    # own basis; every full face shares one identity matrix.
-    hnfs, solves = [], []
-    real_hnf, real_solve = sheaves.hnf_basis, sheaves.solve_int
-    monkeypatch.setattr(sheaves, "hnf_basis", lambda m: hnfs.append(real_hnf(m)) or hnfs[-1])
-    monkeypatch.setattr(sheaves, "solve_int", lambda a, b: solves.append(a) or real_solve(a, b))
+    # On U(4,5) every path occurs. The HNF runs only at "exit" and "hnf"
+    # faces. The substitution runs against the largest inner cover's basis
+    # at every face that has one, and succeeds exactly at "contained" faces;
+    # at "hnf" faces it runs once more, against the face's own basis, and
+    # succeeds. Every full face shares one identity matrix.
+    hnfs, subs = [], []
+    real_hnf, real_sub = sheaves._row_hnf, sheaves._substitute
+
+    def hnf(rows, ncols):
+        r = real_hnf(rows, ncols)
+        hnfs.append(rows[:r] == [{k: 1} for k in range(ncols)])
+        return r
+
+    monkeypatch.setattr(sheaves, "_row_hnf", hnf)
+    monkeypatch.setattr(sheaves, "_substitute", lambda e, g: subs.append((len(e), real_sub(e, g))) or subs[-1][1])
     fan = bergman_fan(Matroid.uniform(4, 5)).fan
     counts = Counter()
     for p in range(fan.dim + 1):
         paths = _module_paths(fan, p)
         counts.update(paths.values())
         hnfs.clear()
-        solves.clear()
+        subs.clear()
         mod = build_multitangent(fan, p)
         assert mod.basis == oracle_multitangent_bases(fan, p), p
-        full = IntMatrix.identity(comb(fan.ambient_rank, p))
         # Faces are built from the top down.
         order = [f for f in reversed(range(fan.face_count())) if f in paths]
         eliminated = [f for f in order if paths[f] in ("exit", "hnf")]
-        assert ["exit" if h == full else "hnf" for h in hnfs] == [paths[f] for f in eliminated], p
-        assert [id(a) for a in solves] == [id(mod.basis[f]) for f in order if paths[f] == "hnf"], p
+        assert ["exit" if full else "hnf" for full in hnfs] == [paths[f] for f in eliminated], p
+        expected = []
+        for f in order:
+            inner = [c for c in fan.covers_of(f) if fan.covers_of(c)]
+            if paths[f] != "inherited" and inner:
+                expected.append((max(map(mod.rank, inner)), paths[f] == "contained"))
+            if paths[f] == "hnf":
+                expected.append((mod.rank(f), True))
+        assert [(rank, x is not None) for rank, x in subs] == expected, p
         assert len({id(mod.basis[f]) for f in mod._full}) <= 1, p
         for f in order:
             if paths[f] == "contained":
