@@ -37,23 +37,23 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
     n, r = basis.rows, basis.cols
     if p < 0 or p > r:
         raise ValueError(f"wedge degree {p} out of range for rank {r}")
-    support = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*basis.data)] if n else [[]] * r
-
     # minors[J]: {bit mask of a row subset: its nonzero minor on columns J}.
     minors = {(): {0: 1}}
+    # Each column's nonzeros, as (row bit, entry); p = 0 reads none.
+    support = [[(1 << i, x) for i, x in enumerate(col) if x] for col in zip(*basis.data)] if n and p else [[]] * r
     for s in range(1, p + 1):
         smaller, minors = minors, {}
         for cols in combinations(range(r), s):
             col = minors[cols] = {}
             for mask, m in smaller[cols[:-1]].items():
-                for i, x in support[cols[-1]]:
-                    bit = 1 << i
+                for bit, x in support[cols[-1]]:
                     if not mask & bit:
-                        # Row i is in place t of the new subset; its sign is
-                        # (-1)^(s-1-t), t the rows of the mask below it.
+                        # The new row is in place t of the new subset, t the
+                        # rows of the mask below it; its sign is (-1)^(s-1-t).
                         term = x * m if (s - (mask & (bit - 1)).bit_count()) % 2 else -x * m
                         col[mask | bit] = col.get(mask | bit, 0) + term
-            minors[cols] = {mask: m for mask, m in col.items() if m}
+            if 0 in col.values():
+                minors[cols] = {mask: m for mask, m in col.items() if m}
     index = _lex_index(n, p)
     data = [[0] * len(minors) for _ in index]
     for j, col in enumerate(minors.values()):

@@ -267,13 +267,12 @@ def test_every_inclusion_matches_the_oracle_solve(monkeypatch):
             assert len(solved) == expected, (name, p)
 
 
-def _module_paths(fan, p):
+def _module_paths(fan, p, bases):
     """Face id -> the way `build_multitangent` must decide each face below
     the top, classified from the oracle's bases: "inherited" (a cover's
     module is the whole wedge power), "exit" (the face's own module is, but
     no cover's), "contained" (its module is that of its largest inner
     cover) or "hnf"."""
-    bases = oracle_multitangent_bases(fan, p)
     full = IntMatrix.identity(comb(fan.ambient_rank, p))
     paths = {}
     for fid in range(fan.face_count()):
@@ -312,12 +311,13 @@ def test_module_build_takes_each_path_and_eliminates_only_on_the_last(monkeypatc
     fan = bergman_fan(Matroid.uniform(4, 5)).fan
     counts = Counter()
     for p in range(fan.dim + 1):
-        paths = _module_paths(fan, p)
+        bases = oracle_multitangent_bases(fan, p)
+        paths = _module_paths(fan, p, bases)
         counts.update(paths.values())
         hnfs.clear()
         subs.clear()
         mod = build_multitangent(fan, p)
-        assert mod.basis == oracle_multitangent_bases(fan, p), p
+        assert mod.basis == bases, p
         # Faces are built from the top down.
         order = [f for f in reversed(range(fan.face_count())) if f in paths]
         eliminated = [f for f in order if paths[f] in ("exit", "hnf")]
