@@ -64,12 +64,15 @@ def _complexes(fan, ring):
 _INTEGER_ORACLE = {}
 
 
-def _oracle(key, b_in, b_out, ring):
+def _oracle(b_in, b_out, ring):
     """`oracle_homology_of_pair`, with the integer answers kept across test
-    cases. Z and Q share the oracle's integer path: the Q group is the free
-    part of the Z group, and its representatives are the free generators."""
+    cases, one per distinct pair of matrices: of the 1,212 pairs of U(4,5),
+    282 are distinct. Z and Q share the oracle's integer path: the Q group
+    is the free part of the Z group, and its representatives are the free
+    generators."""
     if ring.kind == "Fp":
         return oracle_homology_of_pair(b_in, b_out, ring)
+    key = (b_in.rows, b_in.cols, b_out.rows, b_out.cols, tuple(map(tuple, b_in.data)), tuple(map(tuple, b_out.data)))
     if key not in _INTEGER_ORACLE:
         _INTEGER_ORACLE[key] = oracle_homology_of_pair(b_in, b_out, Z)
     group, reps = _INTEGER_ORACLE[key]
@@ -88,14 +91,14 @@ def test_groups_and_representatives_match_the_kernel_path(name, ring):
         cx = bm_chain_complex(fan, p, ring)
         for q in cx.degrees:
             b_in, b_out = cx.boundary_in(q), cx.boundary_out(q)
-            assert homology_of_pair(b_in, b_out, ring) == _oracle((name, None, p, q), b_in, b_out, ring)
+            assert homology_of_pair(b_in, b_out, ring) == _oracle(b_in, b_out, ring)
         for gamma in range(fan.face_count()):
             table = star_homology_table(fan, gamma, p, ring)
             cx = oracle_star_complex(fan, gamma, p)
             assert sorted(table.entries) == cx.degrees
             for q in cx.degrees:
                 entry = table.entries[q]
-                expected = _oracle((name, gamma, p, q), cx.boundary_in(q), cx.boundary_out(q), ring)
+                expected = _oracle(cx.boundary_in(q), cx.boundary_out(q), ring)
                 assert (entry.group, entry.representatives) == expected
 
 
