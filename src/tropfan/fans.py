@@ -23,6 +23,7 @@ transpositions. Only non-simplicial faces solve for their signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, compress, count
 from math import comb, gcd
 
@@ -64,13 +65,39 @@ def _is_primitive(vec):
     return g == 1
 
 
-@dataclass(frozen=True)
 class Cone:
-    """A face of a fan: its rays and an oriented saturated lattice basis."""
+    """A face of a fan: its rays, its dimension and an oriented saturated
+    lattice basis. Cones compare and hash by these three values.
 
-    ray_indices: tuple
-    lattice_basis: IntMatrix
-    dim: int
+    `build_fan` gives each face below its maximal cones a zero-argument
+    function in place of the basis: the first read of `lattice_basis` calls
+    it and keeps the matrix. The function holds the rays, never the fan.
+    """
+
+    __slots__ = ("ray_indices", "dim", "_basis")
+
+    def __init__(self, ray_indices, lattice_basis, dim):
+        self.ray_indices = ray_indices
+        self._basis = lattice_basis
+        self.dim = dim
+
+    @property
+    def lattice_basis(self) -> IntMatrix:
+        if not isinstance(self._basis, IntMatrix):
+            self._basis = self._basis()
+        return self._basis
+
+    def _key(self):
+        return self.ray_indices, self.lattice_basis, self.dim
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Cone) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Cone(ray_indices={!r}, lattice_basis={!r}, dim={!r})".format(*self._key())
 
 
 class Fan:
@@ -257,6 +284,12 @@ def _orient_basis(basis: IntMatrix, ray_matrix: IntMatrix) -> IntMatrix:
     return basis
 
 
+def _oriented_basis(rays, s, n) -> IntMatrix:
+    """The oriented basis of the face on the rays with indices in s."""
+    mat = _ray_matrix(rays, s, n)
+    return _orient_basis(_face_basis(mat), mat)
+
+
 def _incidence_sign(fan_rays, tau: Cone, sigma: Cone):
     """Sign of det([u | basis(tau)] in basis(sigma)), u = sum of sigma's rays
     not in tau. Well-defined because u lies strictly on sigma's side."""
@@ -288,12 +321,15 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     """Build and validate a fan from rays and maximal cones.
 
     Without `explicit_faces` every maximal cone must be simplicial and the
-    face set is generated by all ray subsets. Non-simplicial fans must supply
-    the full face list (as ray-index sets); the pairwise-intersection axiom is
-    not re-verified geometrically, but incidence consistency (boundary squared
-    = 0) always is, and so is that every face below the top dimension lies in
-    a face one dimension up. A fan may have at most MAX_FACES faces, and
-    its wedge modules at most MAX_WEDGE_RANK coordinates.
+    face set is generated by all ray subsets. A face below the given maximal
+    cones then has as many dimensions as rays, and its basis is computed on
+    its first read (see `Cone`): only the maximal cones' bases enter the
+    modules. Non-simplicial fans must supply the full face list (as
+    ray-index sets); the pairwise-intersection axiom is not re-verified
+    geometrically, but incidence consistency (boundary squared = 0) always
+    is, and so is that every face below the top dimension lies in a face one
+    dimension up. A fan may have at most MAX_FACES faces, and its wedge
+    modules at most MAX_WEDGE_RANK coordinates.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     for r in rays:
@@ -334,6 +370,12 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
                     face_sets.add(sub)
             if len(face_sets) > MAX_FACES:
                 raise _too_many_faces(len(face_sets))
+        face_sets.add(())
+        for s in face_sets:
+            if s not in cones:
+                cones[s] = Cone(s, partial(_oriented_basis, rays, s, ambient_rank), len(s))
+        # Every face lies in a given maximal cone, so only those can be maximal.
+        scan = set(maximal_sets) | {()}
     else:
         face_sets = {tuple(sorted(set(int(i) for i in f))) for f in explicit_faces}
         face_sets.add(())
@@ -346,14 +388,10 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
         widest = max(maximal_sets, key=len, default=())
         mat = _ray_matrix(rays, widest, ambient_rank)
         _check_wedge_rank(ambient_rank, rank_over_q(mat))
-    face_sets.add(())
-
-    for s in face_sets:
-        if s in cones:
-            continue
-        mat = _ray_matrix(rays, s, ambient_rank)
-        basis = _orient_basis(_face_basis(mat), mat)
-        cones[s] = Cone(s, basis, basis.cols)
+        for s in face_sets:
+            basis = _oriented_basis(rays, s, ambient_rank)
+            cones[s] = Cone(s, basis, basis.cols)
+        scan = face_sets
 
     # Deterministic ids: by (dim, ray tuple).
     ordered = sorted(face_sets, key=lambda s: (cones[s].dim, s))
@@ -363,12 +401,12 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     # Pure dimensionality of maximal faces. A face lies in a larger one only
     # if that face also has the face's rarest ray, so only those are tested.
     through = {}
-    for t in face_sets:
+    for t in scan:
         for r in t:
             through.setdefault(r, []).append(t)
     maximal = []
-    for s in face_sets:
-        larger = through[min(s, key=lambda r: len(through[r]))] if s else face_sets
+    for s in scan:
+        larger = through[min(s, key=lambda r: len(through[r]))] if s else scan
         s_rays = set(s)
         if not any(len(t) > len(s) and s_rays <= set(t) for t in larger):
             maximal.append(s)
@@ -385,10 +423,12 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
 
     # A simplicial face's facets are its ray tuple with one ray dropped, and
     # the facet without s[j] has sign (-1)^j (see the module docstring).
-    # Any other face scans the faces one dimension down for its facets.
+    # Any other face, which only a face list can give, scans the faces one
+    # dimension down for its facets.
     by_dim = {}
-    for t in face_sets:
-        by_dim.setdefault(cones[t].dim, []).append((t, set(t)))
+    if explicit_faces is not None:
+        for t in face_sets:
+            by_dim.setdefault(cones[t].dim, []).append((t, set(t)))
     covering = {}
     for s in face_sets:
         sig = cones[s]

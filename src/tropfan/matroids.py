@@ -35,6 +35,7 @@ class Matroid:
         if len(bases) > MAX_BASES:
             raise ValueError(f"matroid has more than {MAX_BASES} bases")
         self.bases = sorted(bases, key=sorted)
+        self._masks = [sum(1 << x for x in b) for b in self.bases]  # bit x for element x
         self.rank = sizes.pop()
         self._check_exchange()
 
@@ -60,14 +61,17 @@ class Matroid:
         I = s & b for a basis b meeting s most is a basis of s, and x outside
         s raises the rank exactly when I + x is independent, that is when some
         basis contains I + x. So two passes over the bases decide every x.
+        Both run on the bases' bit masks.
         """
-        s = frozenset(subset)
-        indep = max((s & b for b in self.bases), key=len)
-        free = set()
-        for b in self.bases:
-            if indep <= b:
+        n = self.ground_size
+        s = sum(1 << x for x in frozenset(subset) if 0 <= x < n)
+        indep = max((s & b for b in self._masks), key=int.bit_count)
+        free = 0
+        for b in self._masks:
+            if indep & b == indep:
                 free |= b
-        return frozenset(x for x in range(self.ground_size) if x in s or x not in free)
+        closed = s | ~free
+        return frozenset(x for x in range(n) if closed >> x & 1)
 
     def flats(self):
         """All flats, sorted by (rank, elements); plus the covering relation.

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .intmat import IntMatrix, _columns, _from_columns, _row_hnf, _substitute, solve_int
+from .intmat import IntMatrix, _from_columns, _row_hnf, _substitute, solve_int
 
 
 @lru_cache(maxsize=128)
@@ -29,10 +29,21 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
     """Wedge powers of the columns of `basis`, in lex wedge-monomial coords.
 
     Column J (a p-subset of basis columns, lex order) holds the p x p minors
-    of those columns against all p-subsets of rows (lex order). The size-s
-    minors come from the nonzero size-(s-1) ones by Laplace expansion along
-    the last column, over the support of that column only, so each nonzero
-    term costs one product and no zero minor is visited.
+    of those columns against all p-subsets of rows (lex order); see
+    `_wedge_columns`.
+    """
+    return _from_columns(_wedge_columns(basis, p), comb(basis.rows, p))
+
+
+def _wedge_columns(basis: IntMatrix, p: int):
+    """The columns of `wedge_basis(basis, p)`, each as a {lex position:
+    minor} dict of its nonzeros.
+
+    The size-s minors come from the nonzero size-(s-1) ones by Laplace
+    expansion along the last column, over the support of that column only,
+    so each nonzero term costs one product and no zero minor is visited.
+    Only prefixes of p-subsets are expanded: at size s the last column is
+    at most r - 1 - (p - s).
     """
     n, r = basis.rows, basis.cols
     if p < 0 or p > r:
@@ -43,7 +54,7 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
     support = [[(1 << i, x) for i, x in enumerate(col) if x] for col in zip(*basis.data)] if n and p else [[]] * r
     for s in range(1, p + 1):
         smaller, minors = minors, {}
-        for cols in combinations(range(r), s):
+        for cols in combinations(range(r - p + s), s):
             col = minors[cols] = {}
             for mask, m in smaller[cols[:-1]].items():
                 for bit, x in support[cols[-1]]:
@@ -55,11 +66,7 @@ def wedge_basis(basis: IntMatrix, p: int) -> IntMatrix:
             if 0 in col.values():
                 minors[cols] = {mask: m for mask, m in col.items() if m}
     index = _lex_index(n, p)
-    data = [[0] * len(minors) for _ in index]
-    for j, col in enumerate(minors.values()):
-        for mask, m in col.items():
-            data[index[mask]][j] = m
-    return IntMatrix._adopt(len(data), len(minors), data)
+    return [{index[mask]: m for mask, m in col.items()} for col in minors.values()]
 
 
 class ModuleAssignment:
@@ -139,8 +146,9 @@ def build_multitangent(fan, p: int) -> ModuleAssignment:
     other face gets the canonical HNF basis H of its covers' bases together,
     G = [B_1 | ... | B_k], with each cover's inclusion as its columns of the
     integral X with H X = G. The build keeps each face's basis columns as
-    sparse {coordinate: value} rows until it ends, so G is a concatenation
-    of lists; the stored bases and maps are dense. Each face takes the
+    sparse {coordinate: value} rows until it ends, a maximal face's straight
+    from its minors (`_wedge_columns`), so G is a concatenation of lists;
+    the stored bases and maps are dense. Each face takes the
     cheapest exact argument that applies:
 
     - full: when a cover's module is the whole wedge power, so is the
@@ -173,13 +181,12 @@ def build_multitangent(fan, p: int) -> ModuleAssignment:
     for fid in reversed(range(fan.face_count())):
         covers = fan.covers_of(fid)
         if not covers:
-            b = wedge_basis(fan.faces[fid].lattice_basis, p)
-            if b == full:
-                b = full
+            cols = _wedge_columns(fan.faces[fid].lattice_basis, p)
+            if cols == unit:
+                basis[fid] = full
                 full_faces.add(fid)
             else:
-                gens[fid] = _columns(b)
-            basis[fid] = b
+                basis[fid], gens[fid] = _from_columns(cols, full.rows), cols
             continue
         x = None
         if not any(c in full_faces for c in covers):

@@ -8,12 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from tropfan.exact import (
-    GroupPresentation,
-    RingTag,
-    homology_of_pair,
-    smith_normal_form,
-)
+from tropfan.exact import GroupPresentation, RingTag, homology_of_pair
 from tropfan.fans import WeightedFan, build_fan
 from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
@@ -555,7 +550,7 @@ def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, rin
     if boundary_in.cols == 0:
         return GroupPresentation(k), kmat.columns()
     x = oracle_solve_int_elimination(kmat, boundary_in)  # integral since im lies in the kernel lattice
-    s, u, _ = smith_normal_form(x)
+    s, u, _ = oracle_smith_normal_form(x)
     u_inv = oracle_solve_int_elimination(u, IntMatrix.identity(u.rows))
     adapted = kmat * u_inv
     diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
@@ -566,6 +561,93 @@ def oracle_homology_of_pair(boundary_in: IntMatrix, boundary_out: IntMatrix, rin
     if ring.kind == "Q":
         return GroupPresentation(k - rank_x), reps[len(torsion):]
     return GroupPresentation(k - rank_x, torsion), reps
+
+
+def oracle_smith_normal_form(m: IntMatrix):
+    """Returns (S, U, V) with S = U*m*V diagonal, nonnegative, d_i | d_{i+1}.
+    A copy of `exact.smith_normal_form`, kept so that the homology oracle's
+    torsion and representatives do not come from the engine it checks."""
+    rows, cols = m.rows, m.cols
+    s = [row[:] for row in m.data]
+    u = IntMatrix.identity(rows).data
+    v = IntMatrix.identity(cols).data
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, q):
+        s[dst] = [x - q * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, q):
+        for row in s:
+            row[dst] -= q * row[src]
+        for row in v:
+            row[dst] -= q * row[src]
+
+    t = 0
+    while True:
+        # Locate a pivot of minimal absolute value in the trailing block.
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = s[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # Clear column t.
+            redo = False
+            for i in range(t + 1, rows):
+                if s[i][t] != 0:
+                    q = s[i][t] // s[t][t]
+                    addmul_row(i, t, q)
+                    if s[i][t] != 0:
+                        swap_rows(i, t)
+                        redo = True
+            if redo:
+                continue
+            # Clear row t.
+            for j in range(t + 1, cols):
+                if s[t][j] != 0:
+                    q = s[t][j] // s[t][t]
+                    addmul_col(j, t, q)
+                    if s[t][j] != 0:
+                        swap_cols(j, t)
+                        redo = True
+            if redo:
+                continue
+            # Enforce divisibility of the trailing block by the pivot.
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if s[i][j] % s[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            addmul_row(t, offender, -1)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+        if t >= min(rows, cols):
+            break
+    return IntMatrix(rows, cols, s), IntMatrix(rows, rows, u), IntMatrix(cols, cols, v)
 
 
 # ---------------------------------------------------------------------------
@@ -755,29 +837,43 @@ def oracle_bm_differential(fan, module, q, blocks_q, blocks_q1):
     return out
 
 
+_STAR_TOP_KERNELS = {}
+
+
 def oracle_star_top(fan, gamma: int, p: int, ring: RingTag):
     """The block layout of the top degree of the star of gamma in degree p,
     and the kernel basis of its dense top boundary from the oracle
     eliminations: the integer kernel lattice over Z and Q, the mod-p kernel
-    over F_p. Memoized per fan under its own key."""
+    over F_p. The blocks and the boundary are memoized per fan under their
+    own key, and so is the kernel, Z and Q sharing one; the kernels are also
+    kept across fans and test cases, one per distinct boundary and
+    modulus."""
     from tropfan.complexes import _layout
 
-    def compute():
+    modulus = ring.p if ring.kind == "Fp" else 0
+
+    def dense():
         module = fan.multitangent(p)
         members = fan.upper_set(gamma)
         tops = [f for f in members if fan.faces[f].dim == fan.dim]
         subs = [f for f in members if fan.faces[f].dim == fan.dim - 1]
         ranks = {f: module.rank(f) for f in tops + subs}
         blocks_top = _layout(tops, ranks)
-        top = oracle_bm_differential(fan, module, fan.dim, blocks_top, _layout(subs, ranks))
-        if ring.kind == "Fp":
-            cols = oracle_kernel_field(top, ring)
-            kern = IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
-        else:
-            kern = oracle_kernel_lattice(top)
-        return blocks_top, kern
+        return blocks_top, oracle_bm_differential(fan, module, fan.dim, blocks_top, _layout(subs, ranks))
 
-    return fan.memo(("oracle_star_top", gamma, p, str(ring)), compute)
+    def compute():
+        blocks_top, top = fan.memo(("oracle_star_top_boundary", gamma, p), dense)
+        key = (top.rows, top.cols, tuple(map(tuple, top.data)), modulus)
+        if key not in _STAR_TOP_KERNELS:
+            if modulus:
+                cols = oracle_kernel_field(top, ring)
+                kern = IntMatrix.from_cols(cols, rows=top.cols) if cols else IntMatrix(top.cols, 0)
+            else:
+                kern = oracle_kernel_lattice(top)
+            _STAR_TOP_KERNELS[key] = kern
+        return blocks_top, _STAR_TOP_KERNELS[key]
+
+    return fan.memo(("oracle_star_top", gamma, p, modulus), compute)
 
 
 def oracle_det(columns, ring: RingTag):
@@ -854,7 +950,10 @@ def oracle_cap_star(wf: WeightedFan, gamma: int, p: int) -> OracleCapResult:
     ring = wf.ring
     blocks, kern = oracle_star_top(fan, gamma, d - p, ring)
     src_rank = fp.rank(gamma)
-    per_alpha = {b.face: oracle_cap_block(fan, b.face, gamma, p) for b in blocks}
+    # The blocks depend on neither the weights nor the ring.
+    per_alpha = fan.memo(
+        ("oracle_cap_blocks", gamma, p), lambda: {b.face: oracle_cap_block(fan, b.face, gamma, p) for b in blocks}
+    )
     columns = []
     for j in range(src_rank):
         col = []

@@ -263,7 +263,8 @@ def test_incidence_signs_are_solved_only_on_non_simplicial_faces(monkeypatch):
 
 def test_unit_cone_takes_determinants_only_to_orient(monkeypatch):
     # 12 unit rays, 4,096 faces: one determinant orients each face but the
-    # vertex, and the 24,576 incidence signs take none.
+    # vertex, and the 24,576 incidence signs take none. At build only the
+    # maximal cone is oriented; the other faces orient on their first read.
     calls = []
     real = fans.det_int
     monkeypatch.setattr(fans, "det_int", lambda m: calls.append(1) or real(m))
@@ -271,7 +272,45 @@ def test_unit_cone_takes_determinants_only_to_orient(monkeypatch):
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     fan = build_fan(n, rays, [list(range(n))])
     assert fan.face_count() == 4096 and len(fan.covering) == 24576
+    assert len(calls) == 1
+    for cone in fan.faces:
+        cone.lattice_basis
     assert len(calls) == 4095
+
+
+def _lazy_basis_builds():
+    """The fixtures, the rest of `convention_fans()` and the Bergman fans of
+    `BASE_MATROIDS`, each as a function that builds it, so that every build
+    is counted on its own."""
+    out = {name: (lambda name=name: fixtures.load(name).fan) for name in fixtures.NAMES}
+    out["U(3,5)"] = lambda: bergman_fan(Matroid.uniform(3, 5)).fan
+    out["M(K4)"] = lambda: bergman_fan(graphic_k4()).fan
+    out["U(4,5)"] = lambda: bergman_fan(Matroid.uniform(4, 5)).fan
+    out["square_cone"] = square_cone_fan
+    for i, m in enumerate(BASE_MATROIDS):
+        out[f"base{i}"] = lambda m=m: bergman_fan(m).fan
+    return out
+
+
+LAZY_BASIS_BUILDS = _lazy_basis_builds()
+
+
+@pytest.mark.parametrize("name", list(LAZY_BASIS_BUILDS))
+def test_face_bases_are_taken_at_maximal_cones_and_on_first_read(monkeypatch, name):
+    # Without a face list build_fan takes the basis of each maximal cone
+    # only; every other face computes its own on its first read, once, and
+    # it equals the oracle's. The cone over a square lists its faces, and
+    # each of them takes its basis at build.
+    calls = []
+    real = fans._face_basis
+    monkeypatch.setattr(fans, "_face_basis", lambda m: calls.append(m) or real(m))
+    fan = LAZY_BASIS_BUILDS[name]()
+    assert len(calls) == (fan.face_count() if fan.explicit_faces else len(fan.top_faces()))
+    for cone in fan.faces:
+        mat = _rays_matrix(fan, cone)
+        assert cone.lattice_basis is cone.lattice_basis
+        assert cone.lattice_basis == oracle_orient_basis(oracle_face_basis(mat), mat)
+    assert len(calls) == fan.face_count()
 
 
 def _count_saturations(monkeypatch):

@@ -171,6 +171,15 @@ def test_fan_and_modules_freed_without_cycle_collector():
         ref = weakref.ref(fan)
         del fan
         assert ref() is None
+        # A face below the top computes its basis on its first read; unread,
+        # it holds the rays but not the fan.
+        fan = bergman_fan(Matroid.uniform(3, 4)).fan
+        unread = [c for c in fan.faces if c.dim < fan.dim]
+        assert unread and all(callable(c._basis) for c in unread)
+        del unread
+        ref = weakref.ref(fan)
+        del fan
+        assert ref() is None
         # The same holds for a weighted fan and its memoized certificates.
         wf = bergman_fan(Matroid.uniform(3, 4))
         local_tpd_characterization(wf)
@@ -357,9 +366,10 @@ def test_module_build_on_larger_bergman_fans_matches_the_oracles(n):
 
 
 def test_wedge_basis_runs_only_at_faces_without_cover(monkeypatch):
+    # The build takes a top face's wedge columns without the dense matrix.
     seen = []
-    real = sheaves.wedge_basis
-    monkeypatch.setattr(sheaves, "wedge_basis", lambda basis, p: seen.append(basis) or real(basis, p))
+    real = sheaves._wedge_columns
+    monkeypatch.setattr(sheaves, "_wedge_columns", lambda basis, p: seen.append(basis) or real(basis, p))
     fan = bergman_fan(Matroid.uniform(3, 5)).fan
     for p in range(fan.dim + 1):
         build_multitangent(fan, p)

@@ -36,6 +36,7 @@ from helpers import (
     oracle_kernel_field,
     oracle_kernel_lattice,
     oracle_rank_field,
+    oracle_smith_normal_form,
     oracle_star_complex,
 )
 
@@ -178,6 +179,23 @@ def test_random_complexes_match_sympy_and_the_field_oracle(pair):
         group, reps = homology_of_pair(d_in, d_out, ring)
         assert group.free_rank == n - oracle_rank_field(d_out, ring) - oracle_rank_field(d_in, ring)
         assert (group, reps) == oracle_homology_of_pair(d_in, d_out, ring)
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return IntMatrix(rows, cols, [[draw(st.integers(-6, 6)) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_matrices())
+def test_oracle_snf_diagonal_is_sympys(m):
+    # The homology oracle's own SNF: a diagonal U m V whose nonzero
+    # entries, in order, are sympy's invariant factors.
+    s, u, v = oracle_smith_normal_form(m)
+    assert s == u * m * v
+    assert all(x == 0 for i, row in enumerate(s.data) for j, x in enumerate(row) if i != j)
+    assert [s.data[i][i] for i in range(min(m.rows, m.cols)) if s.data[i][i]] == _sympy_factors(m)
 
 
 # ---------------------------------------------------------------------------
