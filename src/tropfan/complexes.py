@@ -124,22 +124,20 @@ def _layout(face_ids, ranks):
 def _bm_differential(fan: Fan, module, q, blocks_q, blocks_q1):
     """Block matrix of the Borel-Moore boundary from degree q to q-1, as a
     `SparseIntMatrix`. Each pair of a face and one of its facets fills its
-    own block, so every nonzero is written once, and the blocks of a row
-    are visited in column order."""
+    own block from the nonzeros of the inclusion's columns
+    (`ModuleAssignment._map_columns`), so every nonzero is written once,
+    and the blocks and columns of a row are visited in column order."""
     entries = [{} for _ in range(sum(b.rank for b in blocks_q1))]
     tau_of = {b.face: b for b in blocks_q1}
     for bs in blocks_q:
         for tau in fan.facets_of(bs.face):
             if tau not in tau_of:
                 continue
-            bt = tau_of[tau]
+            row = tau_of[tau].offset
             sign = fan.incidence_sign(tau, bs.face)
-            inc = module.inclusion(bs.face, tau)
-            for i, inc_row in enumerate(inc.data):
-                entry = entries[bt.offset + i]
-                for j, x in enumerate(inc_row):
-                    if x:
-                        entry[bs.offset + j] = sign * x
+            for j, col in enumerate(module._map_columns(bs.face, tau), bs.offset):
+                for i, x in col.items():
+                    entries[row + i][j] = sign * x
     return SparseIntMatrix(len(entries), sum(b.rank for b in blocks_q), entries)
 
 
@@ -297,9 +295,10 @@ def _star(fan: Fan, gamma: int, p: int, ring: RingTag):
     degree p, which is assembled once. Its lowest degree, dim gamma, is
     acyclic whenever it lies below the top: the map into it is the sum of
     the signed inclusions of gamma's covers, and `build_multitangent` makes
-    F_p(gamma) exactly the sum of its covers' modules (one `solve_int`
-    proves H X = G for the HNF basis H of the stacked cover bases G). So the
-    map is onto over Z, hence over Q and every F_p, and the group is 0.
+    F_p(gamma) exactly the sum of its covers' modules (one exact
+    substitution proves H X = G for the HNF basis H of the stacked cover
+    bases G). So the map is onto over Z, hence over Q and every F_p, and
+    the group is 0.
     Every non-top face has covers: `build_fan` rejects fans that are not
     pure dimensional, so it lies in a top face. The degrees strictly
     between go through `homology_of_pair`, which reduces the top

@@ -281,7 +281,8 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
     """The cap product at a face: dual vectors at the face map to weighted
     contractions over its top cofaces, landing in the star's top homology.
     Row i of a top coface alpha's block in column j is read off the signed
-    permutation (`_contraction`) as w_alpha s_i inclusion(alpha, gamma)[j][pi(i)]."""
+    permutation (`_contraction`) as w_alpha s_i inclusion(alpha, gamma)[j][pi(i)],
+    from the nonzeros of the inclusion's column pi(i) (`_map_columns`)."""
     _require_balanced(wf)
     fan = wf.fan
     d = fan.dim
@@ -293,11 +294,13 @@ def cap_star(wf: WeightedFan, gamma: int, p: int) -> CapResult:
     src_rank = fp.rank(gamma)
     pairs = _contraction(fan, p)
     chain = fundamental_chain(wf).coords
-    columns = [[] for _ in range(src_rank)]
+    columns = [[0] * sum(b.rank for b in blocks) for _ in range(src_rank)]
     for b in blocks:
         w = chain[b.face]
-        for col, row in zip(columns, fp.inclusion(b.face, gamma).data):
-            col.extend(_rnorm(w * s * row[k], ring) for k, s in pairs)
+        inc = fp._map_columns(b.face, gamma)
+        for i, (k, s) in enumerate(pairs, b.offset):
+            for j, x in inc[k].items():
+                columns[j][i] = _rnorm(w * s * x, ring)
     if any(any(_int_mat_times_ring_vec(top, col, ring)) for col in columns):
         raise ValueError("image does not lie in the kernel")
     return CapResult(gamma, p, ring, src_rank, blocks, columns, table.group(d).free_rank, fan)

@@ -10,7 +10,8 @@ outward primitive generator itself), which makes the incidence signs below
 reproduce the usual boundary conventions for balanced fans. Incidence between
 a facet and a face is the sign of the determinant expressing
 [outward-vector | basis(facet)] in basis(face); the square of the resulting
-boundary operator vanishes, and construction verifies that identity.
+boundary operator vanishes. Construction verifies that identity on a fan
+given by its face list; on a simplicial fan it holds by construction.
 
 On a simplicial face (as many rays as its dimension) with rays r_0 < ... <
 r_{k-1} this sign needs no linear algebra: the facet without r_j has sign
@@ -324,12 +325,15 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
     face set is generated by all ray subsets. A face below the given maximal
     cones then has as many dimensions as rays, and its basis is computed on
     its first read (see `Cone`): only the maximal cones' bases enter the
-    modules. Non-simplicial fans must supply the full face list (as
-    ray-index sets); the pairwise-intersection axiom is not re-verified
-    geometrically, but incidence consistency (boundary squared = 0) always
-    is, and so is that every face below the top dimension lies in a face one
-    dimension up. A fan may have at most MAX_FACES faces, and its wedge
-    modules at most MAX_WEDGE_RANK coordinates.
+    modules. Every face below the top dimension then lies in a face one
+    dimension up, and the signs (-1)^j give boundary squared = 0, so
+    neither is checked. Non-simplicial fans must supply the full face list
+    (as ray-index sets); the pairwise-intersection axiom is not re-verified
+    geometrically, but incidence consistency (boundary squared = 0) is
+    (`_check_boundary_squared`), and so is that every face below the top
+    dimension lies in a face one dimension up (`_check_covered`). A fan may
+    have at most MAX_FACES faces, and its wedge modules at most
+    MAX_WEDGE_RANK coordinates.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     for r in rays:
@@ -442,19 +446,27 @@ def build_fan(ambient_rank, rays, maximal_cones, explicit_faces=None) -> Fan:
         for t, t_rays in by_dim.get(sig.dim - 1, ()):
             if t_rays <= s_rays:
                 covering[(id_of[t], id_of[s])] = _incidence_sign(rays, cones[t], sig)
-    covered = {t for t, _ in covering}
-    for fid, cone in enumerate(faces):
-        if cone.dim < d and fid not in covered:
-            raise ValueError(
-                f"face {list(cone.ray_indices)} of dimension {cone.dim} lies in no face of "
-                f"dimension {cone.dim + 1}; list every face of the fan"
-            )
 
     if explicit_faces is not None:
         explicit_faces = [sorted({int(i) for i in f}) for f in explicit_faces]
     fan = Fan(ambient_rank, rays, faces, covering, d, explicit_faces)
-    _check_boundary_squared(fan)
+    # Without a face list both checks hold by construction: a face below a
+    # given maximal cone gains a ray of that cone, which is a face, and the
+    # signs (-1)^j are the simplicial boundary, whose square is 0.
+    if explicit_faces is not None:
+        _check_covered(fan)
+        _check_boundary_squared(fan)
     return fan
+
+
+def _check_covered(fan: Fan):
+    """Every face below the top dimension lies in a face one dimension up."""
+    for fid, cone in enumerate(fan.faces):
+        if cone.dim < fan.dim and not fan.covers_of(fid):
+            raise ValueError(
+                f"face {list(cone.ray_indices)} of dimension {cone.dim} lies in no face of "
+                f"dimension {cone.dim + 1}; list every face of the fan"
+            )
 
 
 def _check_boundary_squared(fan: Fan):

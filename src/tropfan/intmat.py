@@ -392,16 +392,19 @@ def solve_exact(a: IntMatrix, b: IntMatrix):
 
 
 def _substitute(echelon, cols):
-    """The rows of the integer X with A X = B, by forward substitution:
-    `echelon` lists the columns of A as dict rows with distinct leads
-    (least keys), and `cols` the columns of B. Each column of B loses its
-    lead entry to the column of A led there, until it is zero; None when a
-    remainder is left, that is when a column of B is not an integral
-    combination of the columns of A. The dicts given are not changed."""
+    """The integer X with A X = B, by forward substitution, as one
+    {row: value} dict of nonzeros per column of B: `echelon` lists the
+    columns of A as dicts with distinct leads (least keys), and `cols` the
+    columns of B. Each column of B loses its lead entry to the column of A
+    led there, until it is zero; None when a remainder is left, that is
+    when a column of B is not an integral combination of the columns of A.
+    Every column of A is visited at most once per column of B, so each
+    nonzero of X is written once. The dicts given are not changed."""
     led = {min(e): (k, e) for k, e in enumerate(echelon)}
-    x = [[0] * len(cols) for _ in echelon]
-    for j, col in enumerate(cols):
+    x = []
+    for col in cols:
         rem = dict(col)
+        out = {}
         while rem:
             c = min(rem)
             if c not in led:
@@ -411,7 +414,8 @@ def _substitute(echelon, cols):
             if r:
                 return None
             _reduce(rem, e, q)
-            x[k][j] = q
+            out[k] = q
+        x.append(out)
     return x
 
 
@@ -436,5 +440,5 @@ def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         if all(echelon) and len({min(e) for e in echelon}) == a.cols:
             x = _substitute(echelon, _columns(b))
             if x is not None:
-                return IntMatrix._adopt(a.cols, b.cols, x)
+                return _from_columns(x, a.cols)
     return IntMatrix._adopt(a.cols, b.cols, _solve_hnf(a, b, _divide_exactly))

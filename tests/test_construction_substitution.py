@@ -127,7 +127,7 @@ def test_substitution_fails_exactly_when_the_oracle_solve_raises(system):
     if x is None:
         assert isinstance(expected, tuple)
     else:
-        assert IntMatrix(a.cols, b.cols, x) == expected
+        assert x == [{i: v for i, v in enumerate(col) if v} for col in expected.columns()]
     assert echelon + cols == before
 
 

@@ -1,16 +1,29 @@
 """Fan construction, incidence signs, stars, cones, and their invariants."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from tropfan.complexes import star_bm_complex
 from tropfan.exact import rank_over_q, saturate
-from tropfan.fans import build_fan
+from tropfan.fans import _check_boundary_squared, _check_covered, build_fan
 from tropfan.intmat import IntMatrix
 from tropfan.matroids import Matroid, bergman_fan
 
-from helpers import Z, cross_fan, curve_fan, oracle_solve_int
+from helpers import (
+    BASE_MATROIDS,
+    F2,
+    F3,
+    Q,
+    Z,
+    convention_fans,
+    cross_fan,
+    curve_fan,
+    graphic_k4,
+    oracle_solve_int,
+    random_surface,
+)
 
 
 def test_cross_structure():
@@ -248,3 +261,43 @@ def test_explicit_faces_must_include_every_intermediate_face():
     faces = [[], [0], [1], [2], [3], [0, 1, 2, 3]]
     with pytest.raises(ValueError, match=r"face \[0\] of dimension 1 lies in no face of dimension 2"):
         build_fan(3, rays, [[0, 1, 2, 3]], explicit_faces=faces)
+
+
+def _simplicial_fans():
+    """The fans built without a face list that the suite and the benchmark
+    use: `convention_fans()` (the five fixtures and three Bergman fans; the
+    square cone has a face list), the Bergman fans of `BASE_MATROIDS`,
+    M(K4) and U(r, n) up to U(4,8), and the 50 random surfaces of the
+    suite's corpus, drawn as `test_duality` draws them."""
+    fans = convention_fans()
+    matroids = [("base", m) for m in BASE_MATROIDS] + [("M(K4)", graphic_k4())]
+    matroids += [(f"U({r},{n})", Matroid.uniform(r, n)) for r, n in ((3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (4, 8))]
+    fans += [(name, bergman_fan(m).fan) for name, m in matroids]
+    rng = random.Random(47)
+    for i in range(50):
+        fans.append((f"surface {i}", random_surface(rng).fan))
+        rng.choice([Q, F2, F3])
+    return [(name, fan) for name, fan in fans if fan.explicit_faces is None]
+
+
+def test_simplicial_fans_pass_the_checks_they_skip():
+    # Without a face list `build_fan` runs neither check: every face below a
+    # maximal cone gains one of its rays, and the signs (-1)^j square to 0.
+    fans = _simplicial_fans()
+    assert len(fans) > 60
+    for name, fan in fans:
+        _check_covered(fan)
+        _check_boundary_squared(fan)
+
+
+def test_one_flipped_sign_breaks_boundary_squared():
+    # Every covering pair of a surface lies in a chain vertex < ray < 2-face,
+    # so flipping any one sign leaves boundary^2 nonzero there.
+    for n in (4, 5):
+        fan = bergman_fan(Matroid.uniform(3, n)).fan
+        for pair in list(fan.covering):
+            fan.covering[pair] *= -1
+            with pytest.raises(ValueError, match=r"boundary\^2 = 0"):
+                _check_boundary_squared(fan)
+            fan.covering[pair] *= -1
+        _check_boundary_squared(fan)

@@ -9,8 +9,10 @@ from math import comb
 
 import pytest
 
+import tropfan.exact as exact
+import tropfan.intmat as intmat
 import tropfan.sheaves as sheaves
-from tropfan.complexes import _star, star_row_complex
+from tropfan.complexes import _star, bm_chain_complex, star_row_complex
 from tropfan.duality import _star_report, is_local_tpd, local_tpd_characterization
 from tropfan.exact import hnf_basis, kernel_lattice
 from tropfan.intmat import IntMatrix, det_int
@@ -180,6 +182,20 @@ def test_fan_and_modules_freed_without_cycle_collector():
         ref = weakref.ref(fan)
         del fan
         assert ref() is None
+        # Dense bases and maps, once read, are kept by the module and hold
+        # no reference to the fan either.
+        fan = bergman_fan(Matroid.uniform(3, 4)).fan
+        for p in range(fan.dim + 1):
+            mod = fan.multitangent(p)
+            for tau in range(fan.face_count()):
+                for sigma in fan.upper_set(tau):
+                    mod.dual().restriction(tau, sigma)
+        mods = [fan.multitangent(p) for p in range(fan.dim + 1)]
+        assert all(mod.basis._dense for mod in mods) and any(mod._inclusions for mod in mods)
+        del mod, mods
+        ref = weakref.ref(fan)
+        del fan
+        assert ref() is None
         # The same holds for a weighted fan and its memoized certificates.
         wf = bergman_fan(Matroid.uniform(3, 4))
         local_tpd_characterization(wf)
@@ -223,6 +239,40 @@ def test_fan_and_modules_freed_without_cycle_collector():
         gc.enable()
 
 
+def test_modules_and_complexes_build_no_dense_matrix(monkeypatch):
+    # The build keeps its sparse columns and the Borel-Moore differentials
+    # read them, so no dense basis or map is made until one is read.
+    made = []
+    real = intmat._from_columns
+    for module in (intmat, sheaves, exact):
+        monkeypatch.setattr(module, "_from_columns", lambda cols, rows: made.append(rows) or real(cols, rows))
+    for r, n in ((4, 5), (3, 6)):
+        fan = bergman_fan(Matroid.uniform(r, n)).fan
+        made.clear()  # the fan's own face bases
+        mods = [fan.multitangent(p) for p in range(fan.dim + 1)]
+        for p in range(fan.dim + 1):
+            bm_chain_complex(fan, p, Z)
+        assert made == [], (r, n)
+        # A basis read builds its dense view once, from the same columns.
+        top = fan.top_faces()[0]
+        assert mods[1].basis[top] == wedge_basis(fan.faces[top].lattice_basis, 1)
+        assert mods[1].basis[top] is mods[1].basis[top]
+        assert made == [fan.ambient_rank] * 2, (r, n)  # the view, then wedge_basis
+        made.clear()
+
+
+def test_local_tpd_reads_the_maps_sparse():
+    # The caps read the columns of the inclusions of top faces, which are
+    # not covers below the top: they are solved sparse and kept, and no
+    # dense map or basis is built.
+    wf = bergman_fan(Matroid.uniform(4, 5))
+    assert is_local_tpd(wf).verdict
+    fan = wf.fan
+    mods = [fan.multitangent(p) for p in range(fan.dim + 1)]
+    assert all(mod._inclusions == {} and mod.basis._dense == {} for mod in mods)
+    assert any(len(mod._maps) > len(fan.covering) for mod in mods)
+
+
 def test_dual_outlives_the_fan():
     cosheaf = build_multitangent(cross_fan(), 1)
     sheaf = cosheaf.dual()
@@ -249,17 +299,18 @@ def test_module_build_records_exactly_the_cover_maps():
     for name, fan in CONSTRUCTION_FANS:
         for p in range(fan.dim + 1):
             mod = build_multitangent(fan, p)
-            assert set(mod._structure) == {(s, t) for t, s in fan.covering}, (name, p)
-            for (s, t), m in mod._structure.items():
-                assert m == oracle_solve_int(mod.basis[t], mod.basis[s]), (name, p, s, t)
+            assert set(mod._maps) == {(s, t) for t, s in fan.covering}, (name, p)
+            for s, t in list(mod._maps):
+                assert mod.inclusion(s, t) == oracle_solve_int(mod.basis[t], mod.basis[s]), (name, p, s, t)
 
 
 def test_every_inclusion_matches_the_oracle_solve(monkeypatch):
     # Every comparable pair, not only the covering ones. Into a full module
-    # (basis the identity) the map is the upper face's basis, with no solve.
+    # (basis the identity) the map is the upper face's basis, with no solve;
+    # any other pair that is not a cover is substituted once.
     solved = []
-    real = sheaves.solve_int
-    monkeypatch.setattr(sheaves, "solve_int", lambda a, b: solved.append(1) or real(a, b))
+    real = sheaves._substitute
+    monkeypatch.setattr(sheaves, "_substitute", lambda e, g: solved.append(1) or real(e, g))
     for name, fan in CONSTRUCTION_FANS:
         for p in range(fan.dim + 1):
             mod = build_multitangent(fan, p)
@@ -360,9 +411,9 @@ def test_module_build_on_larger_bergman_fans_matches_the_oracles(n):
     for p in range(fan.dim + 1):
         mod = build_multitangent(fan, p)
         assert mod.basis == oracle_multitangent_bases(fan, p), p
-        assert set(mod._structure) == {(s, t) for t, s in fan.covering}, p
-        for (s, t), m in mod._structure.items():
-            assert m == oracle_solve_int(mod.basis[t], mod.basis[s]), (p, s, t)
+        assert set(mod._maps) == {(s, t) for t, s in fan.covering}, p
+        for s, t in list(mod._maps):
+            assert mod.inclusion(s, t) == oracle_solve_int(mod.basis[t], mod.basis[s]), (p, s, t)
 
 
 def test_wedge_basis_runs_only_at_faces_without_cover(monkeypatch):
@@ -388,8 +439,8 @@ def _module_digest(fan):
             b = mod.basis[fid]
             h.update(repr((p, fid, b.rows, b.cols, b.data)).encode())
         h.update(repr(sorted(mod._full)).encode())
-        for key in sorted(mod._structure):
-            m = mod._structure[key]
+        for key in sorted(mod._maps):
+            m = mod.inclusion(*key)
             h.update(repr((key, m.rows, m.cols, m.data)).encode())
     return h.hexdigest()
 
